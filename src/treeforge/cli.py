@@ -224,6 +224,9 @@ def cmd_fixedpoint(args: argparse.Namespace) -> int:
 def cmd_idoneal(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.scan is not None:
+        if args.scan < 0:
+            print("idoneal --scan needs HI >= 0", file=sys.stderr)
+            return 2
         values = idoneal_numbers_up_to(args.scan)
         outputs = {"limit": args.scan, "representation_free": values}
         human = " ".join(str(v) for v in values)
@@ -231,6 +234,9 @@ def cmd_idoneal(args: argparse.Namespace) -> int:
         return 0
     if args.n is None:
         print("idoneal needs <n> or --scan <hi>", file=sys.stderr)
+        return 2
+    if args.n < 1:
+        print("idoneal needs n >= 1", file=sys.stderr)
         return 2
     reps = strict_representations(args.n)
     outputs = {

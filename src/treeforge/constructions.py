@@ -317,17 +317,22 @@ def parse_construction(text: str) -> tuple[Multigraph, TreeCount]:
         raise GraphError(f"bad construction {text!r}: expected 'family:params'") from None
     head = head.strip().lower()
 
-    def ints(s: str, sep: str) -> list[int]:
+    def ints(s: str, sep: str, count: int | None = None) -> list[int]:
         try:
-            return [int(x) for x in s.split(sep)]
+            values = [int(x) for x in s.split(sep)]
         except ValueError:
             raise GraphError(f"bad construction parameters {s!r}") from None
+        if count is not None and len(values) != count:
+            raise GraphError(
+                f"bad construction parameters {s!r}: expected {count}, got {len(values)}"
+            )
+        return values
 
     if head == "theta":
-        a, b, c = ints(rest, ",")
+        a, b, c = ints(rest, ",", 3)
         return build_theta(ThetaSpec(a, b, c)), tau_theta(a, b, c)
     if head == "glue":
-        a, b = ints(rest, ",")
+        a, b = ints(rest, ",", 2)
         return build_cycle_glue(a, b), a * b
     if head == "bouquet":
         spec = BouquetSpec(tuple(ints(rest, "+")))
@@ -340,8 +345,8 @@ def parse_construction(text: str) -> tuple[Multigraph, TreeCount]:
             main, offs = rest.split(";", 1)
         except ValueError:
             raise GraphError(f"bad construction {text!r}: expected ';' before offsets") from None
-        a, b, c, d = ints(main, ",")
-        offsets = ints(offs, ",")
+        a, b, c, d = ints(main, ",", 4)
+        offsets = ints(offs, ",", 1 if head == "v1" else 2)
         if head == "v0":
             spec = VariantSpec("v0", a, b, c, d, a1=offsets[0], a2=offsets[1])
         elif head == "v1":

@@ -191,21 +191,18 @@ def contract_edge(g: Multigraph, u: int, v: int) -> Multigraph:
     shift down by one, so the result is again labeled 0..n-2 and the
     outcome of a contraction sequence is reproducible.
     """
-    if g.multiplicity(u, v) < 1:
-        raise GraphError(f"edge ({u},{v}) not present")
     lo, hi = (u, v) if u < v else (v, u)
-
-    def remap(x: int) -> int:
-        if x == hi:
-            return lo
-        return x - 1 if x > hi else x
-
     pairs = []
+    present = False
     for a, b, m in g.edges:
-        ra, rb = remap(a), remap(b)
-        if ra == rb:
+        if a == lo and b == hi:
+            present = True
             continue  # all copies of (u, v) become loops and vanish
+        ra = lo if a == hi else (a - 1 if a > hi else a)
+        rb = lo if b == hi else (b - 1 if b > hi else b)
         pairs.append((ra, rb, m))
+    if not present:
+        raise GraphError(f"edge ({u},{v}) not present")
     return Multigraph.from_edges(g.vertex_count - 1, pairs)
 
 

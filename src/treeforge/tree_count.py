@@ -1,12 +1,19 @@
 """Exact spanning-tree counting by two independent methods.
 
-tau_matrix evaluates the Kirchhoff cofactor: delete one row/column of the
+tau_matrix evaluates the Kirchhoff cofactor: delete row/column 0 of the
 Laplacian and take the determinant. The elimination is fraction-free
 (Bareiss), so every intermediate value is an integer minor of the original
 matrix and the result is exact at any size. Pivots are chosen symmetrically
-by minimum degree and rows are rescaled lazily (the per-step factor
-pivot/previous_pivot telescopes), which makes the sweep over large but
-sparse, path-like graphs near-linear instead of cubic.
+by minimum degree: the live row with the fewest nonzero entries, ties to the
+lowest label. The pivot comes from a lazy min-heap of (row size, label); a
+row is pushed again only when its size changes, and entries for eliminated
+or resized rows are skipped when popped. Rows are rescaled lazily (the
+per-step factor pivot/previous_pivot telescopes), so eliminating a pivot of
+degree d costs O(d^2) entry updates plus O(d log V) heap work and touches no
+other row. On subdivided sparse graphs (cycles, thetas, the witnesses) the
+degree-2 vertices go first and each adds at most one fill edge, so the whole
+count takes O(V log V) steps. Dense graphs or heavy fill-in still cost up to
+O(V^3) big-integer steps.
 
 tau_dc evaluates the deletion-contraction recurrence
 tau(G) = tau(G - e) + tau(G / e), with memoization keyed on canonical
@@ -27,10 +34,17 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .graph_core import GraphError, Multigraph, biconnected_components, canonical_form
+from .graph_core import (
+    GraphError,
+    Multigraph,
+    biconnected_components,
+    canonical_form,
+    contract_edge,
+)
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 
@@ -48,57 +62,57 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         raise GraphError("graph must have at least one vertex")
     if n == 1:
         return 1
+    if len(g.edges) < n - 1:
+        return 0  # fewer adjacent pairs than a spanning tree has edges
     # reduced Laplacian over vertices 1..n-1, stored sparsely and symmetric
     rows: dict[int, dict[int, int]] = {v: {} for v in range(1, n)}
-    for u, v, m in g.edges:
-        if u != 0:
-            rows[u][u] = rows[u].get(u, 0) + m
-        if v != 0:
-            rows[v][v] = rows[v].get(v, 0) + m
-        if u != 0 and v != 0:
-            rows[u][v] = rows[u].get(v, 0) - m
-            rows[v][u] = rows[v].get(u, 0) - m
+    for u, v, m in g.edges:  # u < v, so only u can be the deleted vertex 0
+        rv = rows[v]
+        rv[v] = rv.get(v, 0) + m
+        if u:
+            ru = rows[u]
+            ru[u] = ru.get(u, 0) + m
+            ru[v] = ru.get(v, 0) - m
+            rv[u] = rv.get(u, 0) - m
 
-    active = set(rows)
     pivots = [1]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
-    stage = {v: 0 for v in active}  # step each row was last brought up to
+    stage = dict.fromkeys(rows, 0)  # step each row was last brought up to
+    # (row size, label) for every live row; entries go stale when a row is
+    # eliminated or changes size and are skipped when popped
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapify(heap)
 
     def catch_up(i: int, target: int) -> None:
-        if stage[i] == target:
-            return
         num, den = pivots[target], pivots[stage[i]]
         row = rows[i]
         for j in row:
             row[j] = row[j] * num // den
         stage[i] = target
 
-    for _ in range(n - 1):
-        p = None
-        best = None
-        for v in active:
-            if rows[v].get(v):
-                size = len(rows[v])
-                if best is None or size < best or (size == best and v < p):
-                    p, best = v, size
-        if p is None:
-            # positive semidefinite: an all-zero remaining diagonal means the
-            # whole remaining block is zero, i.e. the graph is disconnected
-            return 0
+    while rows:
+        while True:
+            if not heap:
+                # positive semidefinite: an all-zero remaining diagonal means
+                # the whole remaining block is zero, i.e. the graph is disconnected
+                return 0
+            size, p = heappop(heap)
+            prow = rows.get(p)
+            # a row with a zero diagonal is all zero and stays zero
+            if prow is not None and len(prow) == size and p in prow:
+                break
         cur = len(pivots) - 1
-        catch_up(p, cur)
-        prow = rows.pop(p)
-        active.remove(p)
-        piv = prow[p]
+        if stage[p] != cur:
+            catch_up(p, cur)
+        del rows[p]
+        piv = prow.pop(p)  # prow now holds only the live neighbours of p
         prev = pivots[cur]
-        for i in list(prow):
-            if i == p or i not in active:
-                continue
-            catch_up(i, cur)
+        for i in prow:
+            if stage[i] != cur:
+                catch_up(i, cur)
             row = rows[i]
+            before = len(row)
             f = row.pop(p)
             for j, pj in prow.items():
-                if j == p or j not in active:
-                    continue
                 val = (row.get(j, 0) * piv - f * pj) // prev
                 if val:
                     row[j] = val
@@ -108,6 +122,8 @@ def tau_matrix(g: Multigraph) -> TreeCount:
                 if j not in prow:
                     row[j] = row[j] * piv // prev
             stage[i] = cur + 1
+            if len(row) != before:
+                heappush(heap, (len(row), i))
         pivots.append(piv)
     return pivots[-1]
 
@@ -200,7 +216,7 @@ def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
             value *= _tau_dc_block(b, table, cap)
     else:
         u, v, m = max(g.edges, key=lambda e: (e[2], -e[0], -e[1]))
-        contracted = _contract_pair(g, u, v)
+        contracted = contract_edge(g, u, v)
         value = m * _tau_dc_block(contracted, table, cap)
         deleted = Multigraph(
             g.vertex_count, tuple(e for e in g.edges if (e[0], e[1]) != (u, v))
@@ -212,17 +228,6 @@ def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
     if len(table) > cap:
         table.popitem(last=False)
     return factor * value
-
-
-def _contract_pair(g: Multigraph, u: int, v: int) -> Multigraph:
-    lo, hi = (u, v) if u < v else (v, u)
-    pairs = []
-    for a, b, m in g.edges:
-        ra = lo if a == hi else (a - 1 if a > hi else a)
-        rb = lo if b == hi else (b - 1 if b > hi else b)
-        if ra != rb:
-            pairs.append((ra, rb, m))
-    return Multigraph.from_edges(g.vertex_count - 1, pairs)
 
 
 def tau_dc(g: Multigraph, memo_cap: int | None = None) -> TreeCount:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from treeforge.cli import main
 from treeforge.graph_core import complete_graph, cycle_graph
 from treeforge.graphio import format_edge_list, format_graph6
@@ -129,6 +131,16 @@ def test_idoneal_commands(capsys):
     code, out, _ = run(capsys, "idoneal", "--scan", "100", "--json")
     free = json.loads(out)["outputs"]["representation_free"]
     assert 22 in free and 11 not in free
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("idoneal", "0"), ("idoneal", "--scan", "-5"), ("count", "--spec", "theta:1,1")],
+    ids=" ".join,
+)
+def test_bad_value_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
 
 
 def test_verify_table1(capsys):

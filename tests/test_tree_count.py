@@ -39,6 +39,46 @@ class TestTauMatrix:
             g = random_connected_multigraph(rng, max_vertices=6, extra_edges=3)
             assert tau_matrix(g) == brute_tau(g)
 
+    def test_disconnected_with_many_edges_is_zero(self):
+        # enough adjacent pairs to pass the edge-count shortcut, so the
+        # elimination itself must run out of nonzero pivots
+        k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        ring = [(6 + i, 6 + (i + 1) % 10) for i in range(10)]
+        assert tau_matrix(Multigraph.from_edges(16, k6 + ring)) == 0
+        # the same two components with interleaved labels
+        k6 = [(2 * u, 2 * v) for u, v in k6]
+        ring = [(2 * i + 1, 2 * ((i + 1) % 6) + 1) for i in range(6)]
+        assert tau_matrix(Multigraph.from_edges(12, k6 + ring)) == 0
+
+    def test_isolated_vertex_is_zero(self):
+        k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        # vertex 0 is the deleted row: the rest is the singular Laplacian of K_6
+        assert tau_matrix(Multigraph.from_edges(7, [(u + 1, v + 1) for u, v in k6])) == 0
+        assert tau_matrix(Multigraph.from_edges(7, k6)) == 0
+
+    def test_too_few_pairs_builds_no_rows(self):
+        # a million-vertex header with one edge answers before any row exists
+        assert tau_matrix(Multigraph(10**6, ((0, 1, 1),))) == 0
+
+    def test_relabeling_invariance(self, rng):
+        # the pivot order breaks ties by label, so relabeling changes the
+        # elimination but never the count
+        for _ in range(40):
+            g = random_connected_multigraph(rng, max_vertices=60, extra_edges=15)
+            expected = tau_matrix(g)
+            assert expected > 0
+            perm = list(range(g.vertex_count))
+            for _ in range(4):
+                rng.shuffle(perm)
+                assert tau_matrix(g.relabeled(perm)) == expected
+
+    def test_long_cycle_and_theta(self):
+        # near-linear elimination: these take tens of seconds with a
+        # quadratic pivot scan
+        assert tau_matrix(cycle_graph(20000)) == 20000
+        theta = subdivide(Multigraph.from_edges(2, [(0, 1, 3)]), [3000, 3000, 3000])
+        assert tau_matrix(theta) == 3 * 3000**2
+
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
         sk = Multigraph.from_edges(2, [(0, 1, 3)])
