@@ -87,15 +87,6 @@ class Multigraph:
             adj[v][u] = m
         return adj
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b, _ in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
     def slots(self) -> list[tuple[int, int, int]]:
         """Individual edge slots (u, v, copy_index), parallel copies expanded."""
         out = []
@@ -227,39 +218,119 @@ def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
 # ---------------------------------------------------------------------------
 # canonical form
 #
-# Exact isomorphism keys: iterative refinement of a vertex coloring by
-# (color, multiset of colored neighbor multiplicities), then backtracking
-# individualization over the first non-singleton class. Automorphisms
-# discovered when two complete labelings collide are used to prune branches
-# that fix the current individualization path, which tames the symmetric
-# worst cases (complete graphs, cycles) without a full group machinery.
+# Exact isomorphism keys by individualization and refinement, with the
+# splitter-queue refinement of McKay & Piperno, "Practical graph isomorphism
+# II", J. Symb. Comput. 60 (2014).
+#
+# The ordered partition lives in four arrays: ``lab`` (position -> vertex),
+# ``pos`` (vertex -> position), ``cellof`` (vertex -> start position of its
+# cell) and ``size`` (cell start -> cell size; entries at other positions
+# are stale). Refinement pops a splitter cell W from a queue of cell starts,
+# counts for each vertex adjacent to W its edges into W (parallel copies
+# included) and splits every cell holding such a vertex by that count. The
+# untouched vertices (count 0) keep the cell's start; the touched ones are
+# swapped to the cell's tail and ordered by count there, one fragment per
+# count. A split therefore costs the degrees in W plus sorting the touched
+# vertices, never the size of the split cell, and a long cycle refines in
+# linear time. Hopcroft's rule decides what to queue: every fragment if the
+# split cell was queued, otherwise all but the (first) largest, whose counts
+# follow from the others'.
+#
+# Which cells split, where each fragment goes and which starts are queued
+# depend only on cell starts and counts, never on vertex labels, so the
+# refined ordered partition is isomorphism-invariant. The search refines the
+# color classes (cells in increasing color order, all queued), then
+# individualizes each vertex of the first non-singleton cell in turn: the
+# vertex becomes a singleton at the cell's tail, keeps that position in
+# every descendant, and only its cell is queued. A discrete partition is a
+# labeling; the key is the least sorted relabelled edge list over all
+# leaves, with the vertex count and the sorted colors, which fix the color
+# of every position.
+#
+# Two leaves with the same edge list give an automorphism. It fixes every
+# vertex individualized on the path the two leaves share and maps the
+# explored child of the node where they part onto the current one, so the
+# search jumps back to that node, and it joins orbits in the union-find
+# each node on that shared path keeps over its target cell. A node skips a
+# child in the orbit of an explored one. Nothing but those union-finds is
+# stored, so symmetric graphs (complete graphs, cycles, stars) explore
+# about two children per level.
 
 
-def _refine(adj: list[dict[int, int]], colors: list[int]) -> list[int]:
-    n = len(adj)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted((colors[w], m) for w, m in adj[v].items())))
-            for v in range(n)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sigs[v]] for v in range(n)]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+def _refine_partition(
+    nbrs: list[list[tuple[int, int]]],
+    lab: list[int],
+    pos: list[int],
+    cellof: list[int],
+    size: list[int],
+    queue: list[int],
+    queued: list[bool],
+    count: list[int],
+    cells: int,
+) -> int:
+    """Refine the ordered partition in place until it is equitable or
+    discrete, and return its cell count.
 
-
-def _encode(g: Multigraph, pos: Sequence[int], colors: Sequence[int]) -> tuple:
-    # pos[v] = position of vertex v in the candidate labeling
-    rel = sorted(
-        (pos[u], pos[v], m) if pos[u] < pos[v] else (pos[v], pos[u], m)
-        for u, v, m in g.edges
-    )
-    by_pos = sorted(range(len(pos)), key=lambda v: pos[v])
-    return (g.vertex_count, tuple(colors[v] for v in by_pos), tuple(rel))
-
-
-_MAX_STORED_AUTOMORPHISMS = 64
+    ``queue`` holds the splitter cell starts, each flagged in ``queued``;
+    ``count`` is all zero on entry and on return.
+    """
+    n = len(lab)
+    head = 0
+    while head < len(queue) and cells < n:
+        w = queue[head]
+        head += 1
+        queued[w] = False
+        hit = []
+        for i in range(w, w + size[w]):
+            for x, m in nbrs[lab[i]]:
+                if not count[x]:
+                    hit.append(x)
+                count[x] += m
+        touched: dict[int, list[int]] = {}
+        for x in hit:
+            c = cellof[x]
+            if size[c] > 1:
+                if c in touched:
+                    touched[c].append(x)
+                else:
+                    touched[c] = [x]
+        for c in sorted(touched):
+            xs = touched[c]
+            k = size[c]
+            xs.sort(key=count.__getitem__)
+            if len(xs) == k and count[xs[0]] == count[xs[-1]]:
+                continue
+            end = c + k
+            p = end
+            for x in xs:  # vacate the tail: its vertices move to xs' places
+                p -= 1
+                i = pos[x]
+                y = lab[p]
+                lab[i] = y
+                pos[y] = i
+            frags = [c]
+            prev = 0
+            for i, x in enumerate(xs, p):
+                lab[i] = x
+                pos[x] = i
+                if count[x] != prev:
+                    prev = count[x]
+                    if i != c:
+                        size[frags[-1]] = i - frags[-1]
+                        frags.append(i)
+                cellof[x] = frags[-1]
+            size[frags[-1]] = end - frags[-1]
+            cells += len(frags) - 1
+            skip = c if queued[c] else max(frags, key=size.__getitem__)
+            for f in frags:
+                if f != skip and not queued[f]:
+                    queued[f] = True
+                    queue.append(f)
+        for x in hit:
+            count[x] = 0
+    for w in queue[head:]:
+        queued[w] = False
+    return cells
 
 
 def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
@@ -272,80 +343,114 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
     n = g.vertex_count
     if n == 0:
         return b"(0)"
-    adj = g.adjacency()
     init = list(colors) if colors is not None else [0] * n
     if len(init) != n:
         raise GraphError("colors must assign one value per vertex")
-    norm = {c: i for i, c in enumerate(sorted(set(init)))}
-    init = [norm[c] for c in init]
+    edges = g.edges
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in edges:
+        nbrs[u].append((v, m))
+        nbrs[v].append((u, m))
+    queued = [False] * n
+    count = [0] * n
 
-    best: list[tuple | None] = [None]
-    best_vertex_at: list[list[int] | None] = [None]
-    autos: list[tuple[int, ...]] = []
+    lab = sorted(range(n), key=init.__getitem__)
+    pos = [0] * n
+    cellof = [0] * n
+    size = [0] * n
+    queue = [0]
+    for i, v in enumerate(lab):
+        pos[v] = i
+        if init[v] != init[lab[queue[-1]]]:
+            size[queue[-1]] = i - queue[-1]
+            queue.append(i)
+        cellof[v] = queue[-1]
+    size[queue[-1]] = n - queue[-1]
+    for w in queue:
+        queued[w] = True
+    cells = _refine_partition(nbrs, lab, pos, cellof, size, queue, queued, count, len(queue))
 
-    def search(colors: list[int], path: tuple[int, ...]) -> None:
-        colors = _refine(adj, colors)
-        classes: dict[int, list[int]] = {}
-        for v in range(n):
-            classes.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
-        if target is None:
-            pos = [0] * n
-            by_color = sorted(range(n), key=lambda v: colors[v])
-            for i, v in enumerate(by_color):
-                pos[v] = i
-            enc = _encode(g, pos, init)
+    best: list = [None, lab, ()]  # least edge list, its leaf's lab and path
+    orbits: list[dict[int, int]] = []  # union-find over the target cell, per depth
+
+    def search(
+        lab: list[int],
+        pos: list[int],
+        cellof: list[int],
+        size: list[int],
+        cells: int,
+        path: tuple[int, ...],
+    ) -> int:
+        """Explore the node at ``path``; return the depth to resume at."""
+        if cells == n:
+            enc = tuple(
+                sorted(
+                    (pos[u], pos[v], m) if pos[u] < pos[v] else (pos[v], pos[u], m)
+                    for u, v, m in edges
+                )
+            )
             if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best_vertex_at[0] = by_color
-            elif enc == best[0] and len(autos) < _MAX_STORED_AUTOMORPHISMS:
-                ref = best_vertex_at[0]
-                assert ref is not None
-                sigma = [0] * n
-                for i in range(n):
-                    sigma[ref[i]] = by_color[i]
-                if sigma != list(range(n)):
-                    autos.append(tuple(sigma))
-            return
-
-        usable = [s for s in autos if all(s[p] == p for p in path)]
-        parent = {v: v for v in target}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        if usable:
-            changed = True
-            while changed:
-                changed = False
-                for s in usable:
-                    for v in target:
-                        w = s[v]
-                        if w in parent:
-                            a, b = find(v), find(w)
-                            if a != b:
-                                parent[a] = b
-                                changed = True
-        seen_roots = set()
-        fresh = max(colors) + 1
-        for v in target:
-            r = find(v)
-            if r in seen_roots:
+                best[:] = enc, lab, path
+                return len(path)
+            if enc != best[0]:
+                return len(path)
+            _, best_lab, best_path = best
+            sigma = [0] * n
+            for a, b in zip(best_lab, lab):
+                sigma[a] = b
+            d = 0
+            while path[d] == best_path[d]:
+                d += 1
+            for parent in orbits[: d + 1]:
+                for x in parent:
+                    a, b = _find(parent, x), _find(parent, sigma[x])
+                    if a != b:
+                        parent[a] = b
+            return d
+        c = 0
+        while size[c] == 1:
+            c += 1
+        k = size[c]
+        tail = c + k - 1
+        parent = {x: x for x in lab[c : tail + 1]}
+        orbits.append(parent)
+        explored: list[int] = []
+        for v in sorted(parent):
+            r = _find(parent, v)
+            if any(_find(parent, u) == r for u in explored):
                 continue
-            seen_roots.add(r)
-            child = list(colors)
-            child[v] = fresh
-            search(child, path + (v,))
+            explored.append(v)
+            clab, cpos, ccell, csize = list(lab), list(pos), list(cellof), list(size)
+            i = cpos[v]
+            y = clab[tail]
+            clab[i] = y
+            cpos[y] = i
+            clab[tail] = v
+            cpos[v] = tail
+            ccell[v] = tail
+            csize[c] = k - 1
+            csize[tail] = 1
+            queued[tail] = True
+            ccells = _refine_partition(
+                nbrs, clab, cpos, ccell, csize, [tail], queued, count, cells + 1
+            )
+            resume = search(clab, cpos, ccell, csize, ccells, path + (v,))
+            if resume < len(path):
+                break
+        else:
+            resume = len(path)
+        orbits.pop()
+        return resume
 
-    search(init, ())
-    return repr(best[0]).encode()
+    search(lab, pos, cellof, size, cells, ())
+    return repr((n, tuple(sorted(init)), best[0])).encode()
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -212,10 +212,14 @@ def _skeleton_key(v: int, slots: Sequence[tuple[int, int]]) -> bytes:
     return canonical_form(residue, colors=loops)
 
 
-def enumerate_skeletons(cyclomatic: int) -> list[Skeleton]:
-    """All skeletons with the given cyclomatic number, up to isomorphism.
+@lru_cache(maxsize=None)
+def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
+    """All skeletons with the given cyclomatic number, up to isomorphism,
+    ordered by (vertex_count, slots).
 
-    Minimum degree 3 forces vertex_count <= 2 * (cyclomatic - 1).
+    Minimum degree 3 forces vertex_count <= 2 * (cyclomatic - 1). Cached
+    per cyclomatic number, so every fixed-point proof in a process
+    enumerates each level once; the tuple keeps the shared value immutable.
     """
     if cyclomatic < 2:
         raise GraphError("skeletons here have cyclomatic number >= 2")
@@ -266,7 +270,7 @@ def enumerate_skeletons(cyclomatic: int) -> list[Skeleton]:
             counts[idx] = 0
 
         place(0, e)
-    return sorted(found.values(), key=lambda s: (s.vertex_count, s.slots))
+    return tuple(sorted(found.values(), key=lambda s: (s.vertex_count, s.slots)))
 
 
 def _slots_connected(v: int, slots: Sequence[tuple[int, int]]) -> bool:

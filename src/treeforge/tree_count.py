@@ -241,8 +241,8 @@ def tau_dc(g: Multigraph, memo_cap: int | None = None) -> TreeCount:
     n = g.vertex_count
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    if not g.is_connected():
-        return 0
+    if len(g.edges) < n - 1 or not g.is_connected():
+        return 0  # checked first, so a huge edgeless header builds nothing
     cap = memo_cap if memo_cap is not None else _memo_cap()
     return _tau_dc_block(g, _memo(), cap)
 

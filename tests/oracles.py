@@ -42,11 +42,20 @@ def brute_tau(g: Multigraph) -> int:
     return count
 
 
-def brute_isomorphic(g: Multigraph, h: Multigraph) -> bool:
+def brute_isomorphic(
+    g: Multigraph, h: Multigraph, g_colors: list | None = None, h_colors: list | None = None
+) -> bool:
+    """Some permutation maps h onto g, edge multiplicities and (when given)
+    vertex colors included."""
     if g.vertex_count != h.vertex_count:
         return False
+    n = h.vertex_count
+    gc = g_colors if g_colors is not None else [0] * n
+    hc = h_colors if h_colors is not None else [0] * n
     gm = {(u, v): m for u, v, m in g.edges}
-    for perm in permutations(range(h.vertex_count)):
+    for perm in permutations(range(n)):
+        if any(gc[perm[v]] != hc[v] for v in range(n)):
+            continue
         hm = {}
         for u, v, m in h.edges:
             a, b = perm[u], perm[v]

@@ -54,6 +54,14 @@ def test_count_disconnected_warns(tmp_path, capsys):
     assert code == 0 and out.strip() == "0" and "disconnected" in err
 
 
+def test_count_huge_header_both_methods(tmp_path, capsys):
+    # both methods answer 0 from the pair count, before any per-vertex work
+    f = tmp_path / "huge.txt"
+    f.write_text("p 1000000\n0 1\n2 3\n")
+    code, out, _ = run(capsys, "count", str(f), "--method", "both")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_count_json_schema(tmp_path, capsys):
     f = tmp_path / "k4.txt"
     f.write_text(format_edge_list(complete_graph(4)))

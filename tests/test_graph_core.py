@@ -149,6 +149,58 @@ class TestCanonicalForm:
         g = cycle_graph(4)
         assert canonical_form(g, [0, 0, 1, 1]) != canonical_form(g, [0, 1, 0, 1])
 
+    def test_matches_colored_brute_isomorphism(self, rng):
+        # keys compare color values, not just their order: [0, 2] and [0, 1]
+        # color the same graph differently
+        def colored(n):
+            pairs = [
+                (u, v, rng.choice((1, 1, 2)))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.5
+            ]
+            return Multigraph.from_edges(n, pairs), [rng.choice((0, 1, 2)) for _ in range(n)]
+
+        agree = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            g, gc = colored(n)
+            if rng.random() < 0.5:
+                h, hc = colored(n)
+            else:  # an isomorphic copy, sometimes with one color changed
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = g.relabeled(perm)
+                hc = [0] * n
+                for v in range(n):
+                    hc[perm[v]] = gc[v]
+                if rng.random() < 0.3:
+                    hc[rng.randrange(n)] = rng.choice((0, 1, 2))
+            iso = brute_isomorphic(g, h, gc, hc)
+            assert (canonical_form(g, gc) == canonical_form(h, hc)) == iso
+            agree += iso
+        assert agree > 100  # both outcomes are exercised
+
+    def test_long_cycles_theta_and_star_relabeling(self, rng):
+        # refinement splits a cycle only from an individualized vertex, so
+        # these are the individualization search's deep cases; a star's
+        # leaves are all twins, so only automorphism pruning keeps it small
+        cycle = cycle_graph(300)
+        theta = add_path(cycle_graph(200), 0, 100, 100)  # Theta(100, 100, 100)
+        two_cycles = Multigraph.from_edges(
+            300, [(i, (i + 1) % 150 + 150 * (i >= 150)) for i in range(300)]
+        )
+        star = Multigraph.from_edges(81, [(0, i) for i in range(1, 81)])
+        keys = []
+        for g in (cycle, theta, two_cycles, star):
+            key = canonical_form(g)
+            perm = list(range(g.vertex_count))
+            for _ in range(3):
+                rng.shuffle(perm)
+                assert canonical_form(g.relabeled(perm)) == key
+            keys.append(key)
+        assert len(set(keys)) == 4  # C_300 and 2 C_150 are both 2-regular
+
 
 class TestTwoEdgeConnectivity:
     def test_cycle(self):

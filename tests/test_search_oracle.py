@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from treeforge.tree_count import tau_matrix
 from oracles import brute_isomorphic
 
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
 
 
 class TestEnumeration:
@@ -170,6 +171,24 @@ class TestSkeletons:
         assert ((0, 1), (0, 1), (0, 1)) in shapes  # triple edge
         assert ((0, 0), (0, 0)) in shapes  # two loops at one vertex
         assert ((0, 0), (0, 1), (1, 1)) in shapes  # dumbbell
+
+    def test_counts_and_pairwise_non_isomorphic(self):
+        # networkx's multigraph matcher counts parallel edges and loops, and
+        # shares no code with canonical_form
+        for c, expected in ((2, 3), (3, 15), (4, 111)):
+            graphs = []
+            for s in enumerate_skeletons(c):
+                h = nx.MultiGraph()
+                h.add_nodes_from(range(s.vertex_count))
+                h.add_edges_from(s.slots)
+                graphs.append(h)
+            assert len(graphs) == expected
+            for a, b in combinations(graphs, 2):
+                assert not nx.is_isomorphic(a, b)
+
+    def test_cached_per_cyclomatic_number(self):
+        assert enumerate_skeletons(3) is enumerate_skeletons(3)
+        assert isinstance(enumerate_skeletons(3), tuple)
 
     def test_min_degree_holds(self):
         for c in (2, 3, 4):

@@ -60,6 +60,10 @@ class TestTauMatrix:
         # a million-vertex header with one edge answers before any row exists
         assert tau_matrix(Multigraph(10**6, ((0, 1, 1),))) == 0
 
+    def test_too_few_pairs_dc_builds_no_adjacency(self):
+        # deletion-contraction answers before the connectivity check too
+        assert tau_dc(Multigraph(10**6, ((0, 1, 1),))) == 0
+
     def test_relabeling_invariance(self, rng):
         # the pivot order breaks ties by label, so relabeling changes the
         # elimination but never the count
