@@ -29,6 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .graph_core import (
@@ -78,12 +79,13 @@ def _level(
     for g, _ in base:
         edge_list = list(g.edges)
         for bits in range(1, 1 << old):
+            # g is simple, so the candidate has one edge per pair
+            if edge_cap is not None and len(edge_list) + bits.bit_count() > edge_cap:
+                continue
             pairs = edge_list + [
                 (v, old, 1) for v in range(old) if bits >> v & 1
             ]
             cand = Multigraph(k, tuple(sorted(pairs)))
-            if edge_cap is not None and cand.edge_count > edge_cap:
-                continue
             t = tau_matrix(cand)  # cheaper than canonicalizing, so filter first
             if tau_cap is not None and t > tau_cap:
                 continue
@@ -130,9 +132,19 @@ def _space(kind: str, budget: int, cap: int, levels: list[tuple[int, int]]) -> d
 
 
 def alpha_exact(n: int, max_vertices: int = 8) -> SearchResult:
-    """Smallest vertex count <= max_vertices realizing exactly n trees."""
+    """Smallest vertex count <= max_vertices realizing exactly n trees.
+
+    max_vertices may not exceed DEFAULT_VERTEX_CEILING, as in
+    enumerate_connected_graphs: the classes grow super-exponentially (853
+    connected graphs on 7 vertices, 11,117 on 8, 261,080 on 9), so a
+    larger value starts a search that does not end in practice.
+    """
     if n < 3:
         raise GraphError("alpha is defined for n >= 3")
+    if max_vertices > DEFAULT_VERTEX_CEILING:
+        raise GraphError(
+            f"search ceiling exceeded: max_vertices {max_vertices} > {DEFAULT_VERTEX_CEILING}"
+        )
     cap = _cap_tier(n)
     levels = []
     for k in range(1, max_vertices + 1):
@@ -302,9 +314,22 @@ def _slots_connected(v: int, slots: Sequence[tuple[int, int]]) -> bool:
 class _Sweep:
     """Evaluate and enumerate subdivisions of one skeleton.
 
-    The count of a subdivision is sum over spanning trees T of the skeleton
-    of the product of lengths of slots outside T; loops are never in a tree,
-    so they multiply every term.
+    The count of a subdivision is the sum over spanning trees T of the
+    skeleton of the product of the lengths of the slots outside T, one term
+    per tree (``terms``), so it is multilinear in the slot lengths. A
+    slot's place in the terms decides its role. A bridge lies in every
+    spanning tree, so it occurs in no term and its length only spends
+    vertex budget (``bridge_idx``). Every other slot occurs in some term
+    (``cycle_idx``, the cycle slots); a loop lies in no tree and occurs in
+    every term.
+
+    Lengths are admissible when the subdivision is simple: loops have
+    length >= 3, and at most one slot of a parallel class (slots joining
+    the same two vertices) has length 1. A bridge lies on no cycle, so it
+    is in no parallel class and every length >= 1 is admissible.
+
+    Built once per skeleton and process by ``_sweep_of``, so every query
+    reuses the terms, the slot split and the minimal lengths.
     """
 
     def __init__(self, skeleton: Skeleton):
@@ -319,6 +344,25 @@ class _Sweep:
         self.parallel_classes = {
             cell: idxs for cell, idxs in classes.items() if cell[0] != cell[1] and len(idxs) > 1
         }
+        in_terms = {i for term in self.terms for i in term}
+        self.cycle_idx = [i for i in range(len(self.slots)) if i in in_terms]
+        self.bridge_idx = [i for i in range(len(self.slots)) if i not in in_terms]
+        # floors bound every admissible length from below, also where a
+        # parallel class needs 2; suffix_extra[j] is the vertex cost of
+        # cycle slots j, j+1, ... at their floors
+        self.floors = [3 if a == b else 1 for a, b in self.slots]
+        self.suffix_extra = [0] * (len(self.cycle_idx) + 1)
+        for j in range(len(self.cycle_idx) - 1, -1, -1):
+            self.suffix_extra[j] = self.suffix_extra[j + 1] + self.floors[self.cycle_idx[j]] - 1
+        self.mins = []
+        seen_one: set[tuple[int, int]] = set()
+        for i, cell in enumerate(self.slots):
+            if cell in self.parallel_classes and cell in seen_one:
+                self.mins.append(2)
+            else:
+                if cell in self.parallel_classes:
+                    seen_one.add(cell)
+                self.mins.append(self.floors[i])
 
     def _tree_complements(self, edge_idx: list[int]) -> list[tuple[int, ...]]:
         v = self.skeleton.vertex_count
@@ -361,24 +405,13 @@ class _Sweep:
     def min_lengths(self) -> list[int]:
         """Componentwise minimal admissible (simple) assignment: loops need
         length 3, and at most one slot per parallel class may have length 1."""
-        mins = []
-        seen_one: set[tuple[int, int]] = set()
-        for i, (a, b) in enumerate(self.slots):
-            if a == b:
-                mins.append(3)
-            elif (a, b) in self.parallel_classes and (a, b) in seen_one:
-                mins.append(2)
-            else:
-                if (a, b) in self.parallel_classes:
-                    seen_one.add((a, b))
-                mins.append(1)
-        return mins
+        return list(self.mins)
 
     def min_tau(self) -> TreeCount:
-        return self.tau(self.min_lengths())
+        return self.tau(self.mins)
 
     def min_vertices(self) -> int:
-        return self.skeleton.vertex_count + sum(l - 1 for l in self.min_lengths())
+        return self.skeleton.vertex_count + sum(l - 1 for l in self.mins)
 
     def build(self, lengths: Sequence[int]) -> Multigraph:
         n = self.skeleton.vertex_count
@@ -394,62 +427,100 @@ class _Sweep:
         self, n: int, vertex_budget: int
     ) -> tuple[int, list[tuple[int, ...]]]:
         """All admissible length vectors with count exactly n and strictly
-        fewer than vertex_budget vertices. Returns (vectors tried, hits).
+        fewer than vertex_budget vertices, in lexicographic order. Returns
+        (tried, hits).
 
-        Sound pruning: the count is coordinatewise nondecreasing in every
-        length, so once the minimal completion of a prefix exceeds n the
-        whole branch is dead; slots whose length never enters the count
-        (bridges) are capped by the vertex budget alone.
+        ``tried`` is the number of admissible vectors within the budget
+        whose count is at most n. The count and the vertex total are both
+        nondecreasing in every length, so this is a property of the set,
+        not of the order or the pruning that finds it.
+
+        The cycle slots are enumerated in slot order. At cycle slot i, with
+        the earlier ones fixed and the later ones at their floors, the
+        count is A*l + B, with A >= 1 because i occurs in some term. Raising
+        a later slot only raises the count, so l > (n - B) // A leaves every
+        completion above n: the bound costs one pass over the terms and no
+        count per l. The vertex budget, with the later slots at their
+        floors, gives the other end. At the last cycle slot A*l + B is the
+        count itself. Bridges are never walked: a vector of cycle lengths
+        with count <= n and R spare vertices extends by exactly
+        C(R + b, b) bridge vectors (b bridges of lengths 1 + r_k with
+        sum r_k <= R), all added to ``tried``; when its count is n each of
+        them is a hit. Bridge slots sit between cycle slots, so the hits
+        are sorted at the end.
         """
-        k = len(self.slots)
-        # absolute per-slot floors: sound lower bounds for prefix pruning
-        # even when the class-aware admissible minimum is higher
-        floors = [3 if a == b else 1 for a, b in self.slots]
-        suffix_extra = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix_extra[i] = suffix_extra[i + 1] + floors[i] - 1
+        floors = self.floors
+        cyc = self.cycle_idx
+        m = len(cyc)
+        suffix_extra = self.suffix_extra
         max_extra = vertex_budget - 1 - self.skeleton.vertex_count
+        if max_extra < suffix_extra[0]:
+            return 0, []
+        bridges = self.bridge_idx
+        nb = len(bridges)
         lengths = floors[:]
         tried = 0
         hits: list[tuple[int, ...]] = []
-        if max_extra < suffix_extra[0]:
-            return 0, []
 
-        def assign(i: int, extra: int, ones_used: set[tuple[int, int]]) -> None:
-            nonlocal tried
-            if i == k:
-                tried += 1
-                if self.tau(lengths) == n:
-                    hits.append(tuple(lengths))
+        def fill_bridges(k: int, spare: int) -> None:
+            if k == nb:
+                hits.append(tuple(lengths))
                 return
+            s = bridges[k]
+            for l in range(1, spare + 2):
+                lengths[s] = l
+                fill_bridges(k + 1, spare - (l - 1))
+            lengths[s] = 1
+
+        def assign(j: int, extra: int, ones_used: set[tuple[int, int]]) -> None:
+            nonlocal tried
+            i = cyc[j]
+            # the terms holding i give the slope of the count in l_i, the
+            # others its intercept
+            slope = base = 0
+            for term in self.terms:
+                prod = 1
+                holds = False
+                for t in term:
+                    if t == i:
+                        holds = True
+                    else:
+                        prod *= lengths[t]
+                if holds:
+                    slope += prod
+                else:
+                    base += prod
             cell = self.slots[i]
-            a, b = cell
-            if a == b:
-                lo = 3
-            elif cell in self.parallel_classes and cell in ones_used:
-                lo = 2
-            else:
-                lo = 1
-            l = lo
-            while True:
-                if extra + (l - 1) + suffix_extra[i + 1] > max_extra:
-                    break
+            parallel = cell in self.parallel_classes
+            lo = 2 if parallel and cell in ones_used else floors[i]
+            hi = min(max_extra - extra - suffix_extra[j + 1] + 1, (n - base) // slope)
+            if j == m - 1:
+                for l in range(lo, hi + 1):
+                    spare = max_extra - extra - (l - 1)
+                    tried += comb(spare + nb, nb)
+                    if slope * l + base == n:
+                        lengths[i] = l
+                        fill_bridges(0, spare)
+                lengths[i] = floors[i]
+                return
+            for l in range(lo, hi + 1):
                 lengths[i] = l
-                for j in range(i + 1, k):
-                    lengths[j] = floors[j]
-                if self.tau(lengths) > n:
-                    break
-                used_one = l == 1 and cell in self.parallel_classes
+                used_one = l == 1 and parallel
                 if used_one:
                     ones_used.add(cell)
-                assign(i + 1, extra + (l - 1), ones_used)
+                assign(j + 1, extra + (l - 1), ones_used)
                 if used_one:
                     ones_used.discard(cell)
-                l += 1
             lengths[i] = floors[i]
 
         assign(0, 0, set())
+        hits.sort()
         return tried, hits
+
+
+@lru_cache(maxsize=None)
+def _sweep_of(skeleton: Skeleton) -> _Sweep:
+    return _Sweep(skeleton)
 
 
 @dataclass
@@ -546,7 +617,7 @@ def verify_no_smaller_graph(
         audits = []
         level_min: TreeCount | None = None
         for skel in enumerate_skeletons(c):
-            sweep = _Sweep(skel)
+            sweep = _sweep_of(skel)
             mt = sweep.min_tau()
             mv = sweep.min_vertices()
             if level_min is None or mt < level_min:

@@ -8,7 +8,7 @@ a bare triple loop. None of it shares code with the package.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from treeforge.graph_core import Multigraph
 
@@ -63,6 +63,42 @@ def brute_isomorphic(
         if hm == gm:
             return True
     return False
+
+
+def brute_subdivision_sweep(
+    vertex_count: int, slots, n: int, budget: int, count
+) -> tuple[int, list[tuple[int, ...]]]:
+    """(tried, hits) of a skeleton sweep, by listing every length vector in
+    a box with itertools.product and counting each subdivision with
+    ``count``: tried is the number of admissible vectors on fewer than
+    ``budget`` vertices with at most n trees, hits those with exactly n, in
+    lexicographic order. Admissible: loops of length >= 3, and at most one
+    slot of length 1 between any two skeleton vertices."""
+    floors = [3 if a == b else 1 for a, b in slots]
+    spare = budget - 1 - vertex_count - sum(f - 1 for f in floors)
+    if spare < 0:
+        return 0, []
+    tried, hits = 0, []
+    for vec in product(*(range(f, f + spare + 1) for f in floors)):
+        if sum(l - f for l, f in zip(vec, floors)) > spare:
+            continue
+        ones: dict[tuple[int, int], int] = {}
+        for (a, b), l in zip(slots, vec):
+            if a != b and l == 1:
+                ones[(a, b)] = ones.get((a, b), 0) + 1
+        if any(c > 1 for c in ones.values()):
+            continue
+        pairs, nxt = [], vertex_count
+        for (a, b), l in zip(slots, vec):
+            path = [a, *range(nxt, nxt + l - 1), b]
+            nxt += l - 1
+            pairs.extend(zip(path, path[1:]))
+        t = count(Multigraph.from_edges(nxt, pairs))
+        if t <= n:
+            tried += 1
+            if t == n:
+                hits.append(vec)
+    return tried, hits
 
 
 def naive_strict_representations(n: int) -> list[tuple[int, int, int]]:

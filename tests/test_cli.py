@@ -143,7 +143,12 @@ def test_idoneal_commands(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("idoneal", "0"), ("idoneal", "--scan", "-5"), ("count", "--spec", "theta:1,1")],
+    [
+        ("idoneal", "0"),
+        ("idoneal", "--scan", "-5"),
+        ("count", "--spec", "theta:1,1"),
+        ("alpha", "25", "--max-vertices", "12"),
+    ],
     ids=" ".join,
 )
 def test_bad_value_exit_2(capsys, argv):

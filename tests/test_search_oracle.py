@@ -14,6 +14,7 @@ from treeforge.graph_core import (
 )
 from treeforge.search_oracle import (
     SearchKind,
+    Skeleton,
     _Sweep,
     alpha_exact,
     beta_exact,
@@ -23,7 +24,7 @@ from treeforge.search_oracle import (
 )
 from treeforge.tree_count import tau_matrix
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, brute_subdivision_sweep
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
@@ -234,6 +235,51 @@ class TestSkeletons:
                         assert t1 > t0
 
 
+class TestSweep:
+    """find_assignments against a brute-force box of length vectors, each
+    subdivision built by the oracle's own path builder and counted by the
+    Laplacian, never by the sweep's tree terms."""
+
+    CASES = ((8, 9), (16, 11), (21, 10), (24, 11), (40, 12))
+
+    def check(self, skel, n, budget):
+        got = _Sweep(skel).find_assignments(n, budget)
+        want = brute_subdivision_sweep(skel.vertex_count, skel.slots, n, budget, tau_matrix)
+        assert got == want, (skel.describe(), n, budget)
+        return got
+
+    def test_every_skeleton_of_cyclomatic_two_and_three(self):
+        tried = hits = 0
+        for c in (2, 3):
+            for skel in enumerate_skeletons(c):
+                for n, budget in self.CASES:
+                    t, h = self.check(skel, n, budget)
+                    tried += t
+                    hits += len(h)
+        assert tried > 900 and hits > 90  # the cases reach into the sweeps
+
+    def test_bridge_slack(self):
+        # bridges do not enter the count, so the spare budget makes many
+        # hits from one vector of loop lengths
+        dumbbell = Skeleton(2, ((0, 0), (0, 1), (1, 1)))
+        tripod = Skeleton(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+        two_bridges = Skeleton(3, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)))
+        for skel, bridges, n, budget in (
+            (dumbbell, (1,), 9, 20),
+            (dumbbell, (1,), 12, 26),
+            (dumbbell, (1,), 15, 14),
+            (tripod, (0, 1, 2), 27, 16),
+            (tripod, (0, 1, 2), 36, 17),
+            (two_bridges, (1, 3), 27, 15),
+            (two_bridges, (1, 3), 36, 16),
+        ):
+            assert skel in enumerate_skeletons(skel.cyclomatic)
+            _, hits = self.check(skel, n, budget)
+            assert any(
+                any(vec[i] > 1 for i in bridges) for vec in hits
+            ), (skel.describe(), n, budget)
+
+
 class TestVerifier:
     def test_small_fixed_points(self):
         for n in (3, 4, 5, 6, 7, 10, 13):
@@ -256,6 +302,29 @@ class TestVerifier:
         for level in d["levels"]:
             assert level["skeletons"], "every level lists its skeletons"
         assert "ear" in d["stop_reason"]
+
+    @staticmethod
+    def tried(report):
+        return sum(
+            sk["assignments_tried"]
+            for level in report.levels
+            for sk in level["skeletons"]
+        )
+
+    def test_transcript_counts(self):
+        # pinned from the sweep that walked every vector one at a time
+        report = verify_no_smaller_graph(38, 78)
+        assert self.tried(report) == 247_959 and len(report.witnesses) == 3
+        report = verify_no_smaller_graph(27, 27)
+        assert self.tried(report) == 2_101 and len(report.witnesses) == 442
+
+    def test_bridge_heavy_budget(self):
+        # the spare budget goes to bridge lengths, which are counted, not
+        # walked
+        report = verify_no_smaller_graph(38, 400)
+        assert report.witnesses
+        for g in report.witnesses:
+            assert tau_matrix(g) == 38 and g.vertex_count < 400
 
     def test_budget_larger_than_n_finds_cycle(self):
         report = verify_no_smaller_graph(5, 7)
