@@ -41,6 +41,7 @@ from .constructions import (
 from .idoneal import (
     EULER_IDONEAL_NUMBERS,
     Representation,
+    cheapest_theta,
     is_idoneal,
     strict_representations,
     theta_representations,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,10 @@ from .minimal_builder import (
 )
 from .search_oracle import alpha_exact, beta_exact, verify_no_smaller_graph
 from .tree_count import tau_dc, tau_matrix
+
+#: Largest HI that `idoneal --scan` accepts: the sieve holds one byte per
+#: n, so this is a 100 MB array.
+IDONEAL_SCAN_MAX = 10**8
 
 
 def _report(command: str, inputs: dict, outputs: dict, started: float) -> dict:
@@ -142,9 +147,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.lo > args.hi or args.lo < 3:
         print("scan needs 3 <= LO <= HI", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("scan needs --jobs >= 1", file=sys.stderr)
+        return 2
+    # The pool forks all its workers at once, so ask for no more than there
+    # are CPUs to run them.
+    jobs = min(args.jobs, os.cpu_count() or 1)
     ns = range(args.lo, args.hi + 1)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, ns, chunksize=64))
     else:
         rows = [_scan_row(n) for n in ns]
@@ -224,8 +235,8 @@ def cmd_fixedpoint(args: argparse.Namespace) -> int:
 def cmd_idoneal(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.scan is not None:
-        if args.scan < 0:
-            print("idoneal --scan needs HI >= 0", file=sys.stderr)
+        if not 0 <= args.scan <= IDONEAL_SCAN_MAX:
+            print(f"idoneal --scan needs 0 <= HI <= {IDONEAL_SCAN_MAX}", file=sys.stderr)
             return 2
         values = idoneal_numbers_up_to(args.scan)
         outputs = {"limit": args.scan, "representation_free": values}
@@ -372,14 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="recorded for reproducibility; the built-in suites are exhaustive "
-        "and deterministic, so this does not change results",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count spanning trees of a graph", parents=[common])
@@ -396,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("scan", help="witness + bound table over a range", parents=[common])
     c.add_argument("lo", type=int)
     c.add_argument("hi", type=int)
+    c.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (at most the CPU count)"
+    )
     c.set_defaults(func=cmd_scan)
 
     c = sub.add_parser("alpha", help="exact minimum vertex count by search", parents=[common])

@@ -13,10 +13,31 @@ when the division is exact.
 theta_representations relaxes the strict ordering to 1 <= a <= b <= c with
 at most one value equal to 1: exactly the parameter triples for which the
 theta graph is simple.
+
+Both fast paths rest on the identity n + a^2 = (a + b)(a + c). For fixed a,
+the triples are the divisor pairs d * e = N = n + a^2 with d = a + b and
+e = a + c, so b <= c is d <= sqrt(N), b >= a is d >= 2a (d >= 3 when a = 1,
+which keeps b >= 2), and the theta has a + b + c = d + N/d - a edges.
+
+- cheapest_theta scans d downward from isqrt(N). d + N/d falls strictly as
+  d rises towards sqrt(N), so the first divisor found is the cheapest
+  theta for that a. A scan stops once d + N/d - a exceeds the best sum so
+  far, since smaller d only cost more. Every sum for a is at least
+  2*sqrt(N) - a, which does not fall as a falls while 3a^2 <= n; so once
+  that bound exceeds the best sum, no smaller a can reach it and the scan
+  over a ends. Equal sums go to the smaller a, the lex-least triple.
+- representable_sieve marks arithmetic progressions a pass of a at a time,
+  but after a few passes nearly every write lands on a marked cell. Once
+  at most isqrt(limit) cells are unmarked, each survivor n is decided
+  alone: it has a strict representation with a not yet passed iff some
+  such a with 3a^2 < n has a divisor d of N with 2a < d < sqrt(N), since
+  then b = d - a > a and c = N/d - a > b. A survivor with no such divisor
+  has no strict representation at all, so the sieve is exact.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 
@@ -88,13 +109,42 @@ def theta_representations(n: int) -> list[Representation]:
     return sorted(out, key=lambda r: (r.a + r.b + r.c, r))
 
 
+def cheapest_theta(n: int) -> Representation | None:
+    """theta_representations(n)[0], or None when n has no theta, found from
+    divisor pairs of n + a^2 without listing the other representations."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    best = None
+    best_sum = 0
+    a = isqrt(n // 3)  # largest a with 3a^2 <= n
+    while a >= 1:
+        big = n + a * a
+        if best is not None and 4 * big > (best_sum + a) ** 2:
+            break  # 2*sqrt(big) - a > best_sum, here and for every smaller a
+        d_min = 3 if a == 1 else 2 * a
+        d = isqrt(big)
+        while d >= d_min:
+            if best is not None and d * (d - a - best_sum) + big > 0:
+                break  # d + big/d - a > best_sum, and it grows as d falls
+            if big % d == 0:
+                e = big // d
+                best, best_sum = Representation(a, d - a, e - a), d + e - a
+                break
+            d -= 1
+        a -= 1
+    return best
+
+
 def representable_sieve(limit: int) -> bytearray:
     """sieve[n] = 1 iff n <= limit has a strict representation.
 
     Marks every n = ab + c(a+b) by walking c in arithmetic progressions of
-    step a+b, which keeps the whole scan to 10**6 within seconds.
+    step a+b, one pass per a, until at most isqrt(limit) cells are left
+    unmarked; each of those is then decided by trial division (see the
+    module docstring).
     """
     sieve = bytearray(limit + 1)
+    survivors_cap = isqrt(limit)
     a = 1
     while 3 * a * a < limit:
         b = a + 1
@@ -106,10 +156,35 @@ def representable_sieve(limit: int) -> bytearray:
                 sieve[start : limit + 1 : step] = b"\x01" * count
             b += 1
         a += 1
+        if sieve.count(0, 1) <= survivors_cap:
+            break
+    for n in _unmarked(sieve):
+        if _has_strict_representation_from(n, a):
+            sieve[n] = 1
     return sieve
+
+
+def _unmarked(sieve: bytearray):
+    """The n >= 1 with sieve[n] = 0, ascending."""
+    n = sieve.find(0, 1)
+    while n != -1:
+        yield n
+        n = sieve.find(0, n + 1)
+
+
+def _has_strict_representation_from(n: int, a: int) -> bool:
+    """Whether n = ab + ac + bc for some a' >= a and a' < b < c."""
+    while 3 * a * a < n:
+        big = n + a * a
+        d = 2 * a + 1
+        while d * d < big:
+            if big % d == 0:
+                return True
+            d += 1
+        a += 1
+    return False
 
 
 def idoneal_numbers_up_to(limit: int) -> list[int]:
     """All representation-free n in 1..limit, via the sieve."""
-    sieve = representable_sieve(limit)
-    return [n for n in range(1, limit + 1) if not sieve[n]]
+    return list(_unmarked(representable_sieve(limit)))

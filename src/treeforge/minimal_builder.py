@@ -3,7 +3,8 @@
 For n >= 3 the builder tries every applicable construction family and
 returns the witness with the fewest edges:
 
-  (i)   theta graphs, one per representation n = ab + ac + bc,
+  (i)   the theta graph of the cheapest representation n = ab + ac + bc
+        (every other theta has more edges, or as many and a later triple),
   (ii)  glued cycle pairs C_{p,q} for factorizations n = p*q, p, q >= 3,
   (iii) cycle bouquets for factorizations into >= 3 factors, all >= 3,
   (iv)  a fixed table of decorated thetas for 30, 37 and 58,
@@ -31,7 +32,9 @@ from .constructions import (
     build_variant,
 )
 from .graph_core import GraphError, Multigraph, cycle_graph
-from .idoneal import theta_representations
+from .idoneal import cheapest_theta
+# Unused here, but perfbench/spans.py patches this attribute when tracing.
+from .idoneal import theta_representations  # noqa: F401
 from .tree_count import TreeCount, tau_matrix
 
 #: n for which no simple graph meets the vertex bound (n+4)/3 and the edge
@@ -134,7 +137,8 @@ def _multi_factorizations(n: int, minimum: int = 3) -> list[tuple[int, ...]]:
 
 
 def _candidates(n: int):
-    for rep in theta_representations(n):
+    rep = cheapest_theta(n)
+    if rep is not None:
         a, b, c = rep
         yield a + b + c, a + b + c - 1, Strategy.THETA, lambda a=a, b=b, c=c: build_theta(
             ThetaSpec(a, b, c)

@@ -133,6 +133,27 @@ def naive_theta_representations(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def strided_sieve(limit: int) -> bytearray:
+    """sieve[n] = 1 iff n <= limit has a strict representation.
+
+    Marks every n = ab + c(a+b) by walking c in arithmetic progressions of
+    step a+b, over every (a, b) that can reach the limit.
+    """
+    sieve = bytearray(limit + 1)
+    a = 1
+    while 3 * a * a < limit:
+        b = a + 1
+        while 2 * a * b + b * b < limit:
+            step = a + b
+            start = a * b + step * (b + 1)  # c = b + 1
+            if start <= limit:
+                count = (limit - start) // step + 1
+                sieve[start : limit + 1 : step] = b"\x01" * count
+            b += 1
+        a += 1
+    return sieve
+
+
 def fib(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):

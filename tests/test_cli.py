@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from treeforge import cli
 from treeforge.cli import main
 from treeforge.graph_core import complete_graph, cycle_graph
 from treeforge.graphio import format_edge_list, format_graph6
@@ -117,6 +118,38 @@ def test_scan_jobs_deterministic(capsys):
     assert seq == par
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, seq, _ = run(capsys, "scan", "3", "20", "--json")
+    code2, par, _ = run(capsys, "scan", "3", "20", "--json", "--jobs", "100000")
+    assert code == code2 == 0 and seq == par
+    assert RecordingPool.sizes == [3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    code, _, _ = run(capsys, "scan", "3", "20", "--jobs", "100000")
+    assert code == 0 and RecordingPool.sizes == [3]
+
+
 def test_alpha_beta_commands(capsys):
     code, out, _ = run(capsys, "alpha", "8", "--json")
     assert code == 0 and json.loads(out)["outputs"]["value"] == 4
@@ -146,6 +179,8 @@ def test_idoneal_commands(capsys):
     [
         ("idoneal", "0"),
         ("idoneal", "--scan", "-5"),
+        ("idoneal", "--scan", str(cli.IDONEAL_SCAN_MAX + 1)),
+        ("scan", "3", "10", "--jobs", "0"),
         ("count", "--spec", "theta:1,1"),
         ("alpha", "25", "--max-vertices", "12"),
     ],
