@@ -36,8 +36,9 @@ from .minimal_builder import (
 from .search_oracle import alpha_exact, beta_exact, verify_no_smaller_graph
 from .tree_count import tau_dc, tau_matrix
 
-#: Largest HI that `idoneal --scan` accepts: the sieve holds one byte per
-#: n, so this is a 100 MB array.
+#: Largest HI that `idoneal --scan` accepts (the sieve holds one byte per
+#: n, so this is a 100 MB array), and the largest n that `idoneal N`
+#: accepts (listing the representations of n takes Theta(n) time).
 IDONEAL_SCAN_MAX = 10**8
 
 
@@ -246,8 +247,8 @@ def cmd_idoneal(args: argparse.Namespace) -> int:
     if args.n is None:
         print("idoneal needs <n> or --scan <hi>", file=sys.stderr)
         return 2
-    if args.n < 1:
-        print("idoneal needs n >= 1", file=sys.stderr)
+    if not 1 <= args.n <= IDONEAL_SCAN_MAX:
+        print(f"idoneal needs 1 <= n <= {IDONEAL_SCAN_MAX}", file=sys.stderr)
         return 2
     reps = strict_representations(args.n)
     outputs = {

@@ -41,6 +41,8 @@ from .minimal_builder import Strategy, Witness
 from .tree_count import TreeCount, tau_matrix
 
 DEFAULT_VERTEX_CEILING = 9
+#: Largest max_edges that beta_exact accepts (see its docstring).
+BETA_EDGE_CEILING = 12
 
 
 class SearchKind(enum.Enum):
@@ -61,6 +63,32 @@ class SearchResult:
 # isomorphism-free enumeration of connected simple graphs
 
 
+def _heavy_vertices(g: Multigraph) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """Entry s lists (degree, u, component masks of g - u) for every vertex
+    u of g with degree >= s, for s = 0..vertex_count."""
+    n = g.vertex_count
+    adj = [0] * n
+    for a, b, _ in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    rows = []
+    for u in range(n):
+        rest = ((1 << n) - 1) & ~(1 << u)
+        comps = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                w = frontier & -frontier
+                frontier ^= w
+                new = adj[w.bit_length() - 1] & rest & ~comp
+                comp |= new
+                frontier |= new
+            rest &= ~comp
+            comps.append(comp)
+        rows.append((adj[u].bit_count(), u, tuple(comps)))
+    return [[row for row in rows if row[0] >= s] for s in range(n + 1)]
+
+
 @lru_cache(maxsize=128)
 def _level(
     k: int, tau_cap: int | None, edge_cap: int | None = None
@@ -68,7 +96,36 @@ def _level(
     """Connected simple graph classes on exactly k vertices, with their
     counts. Both restrictions are hereditary under non-cut-vertex deletion
     (the count never grows and edges only disappear), so applying them at
-    every level loses no extension."""
+    every level loses no extension.
+
+    Each class of level k-1 (sorted by (edge_count, edges)) is extended by
+    a new vertex v joined to every nonempty subset S of its vertices, in
+    order of the subset's bit mask, and a class keeps the first candidate
+    that passes both caps. Two tests skip a candidate C = G + v before it
+    is built; each skips only candidates that are never the first of their
+    class, so the classes, their representatives and their order are the
+    same as without them.
+
+    - Count bound: a spanning tree of G plus one edge v-s, s in S, is a
+      spanning tree of C, and all these are distinct, so
+      tau(C) >= |S| * tau(G). Above tau_cap the candidate fails the cap.
+    - Max-degree rule: skip C when some vertex u of G is a non-cut vertex
+      of C with deg_C(u) > |S|. Then C - u is connected, its count is at
+      most tau(C) and it has fewer edges, so its class is in level k-1
+      under both caps, with |E(C)| - deg_C(u) < |E(G)| edges: its
+      representative P comes before G. C is P plus a vertex joined to the
+      image of N(u), a candidate that passes the caps exactly when C
+      does, so C's class already met a candidate from an earlier parent.
+      Ties, deg_C(u) = |S|, are kept: C - u then has as many edges as G,
+      and whether P comes before G depends on the representatives' edge
+      lists. u is a non-cut vertex of C exactly when S - {u} meets every
+      component of G - u, which is tested on bit masks.
+
+    McKay's full canonical-deletion test would skip more, but it needs a
+    canonical labelling of every surviving child, so it saves no
+    canonical_form call, and it changes which (G, S) yields each class
+    and with it the witness edge lists.
+    """
     if k < 1:
         return ()
     if k == 1:
@@ -76,11 +133,20 @@ def _level(
     out: dict[bytes, tuple[Multigraph, TreeCount]] = {}
     base = _level(k - 1, tau_cap, edge_cap)
     old = k - 1
-    for g, _ in base:
+    for g, tau_g in base:
         edge_list = list(g.edges)
+        heavy = _heavy_vertices(g)
         for bits in range(1, 1 << old):
+            s = bits.bit_count()
             # g is simple, so the candidate has one edge per pair
-            if edge_cap is not None and len(edge_list) + bits.bit_count() > edge_cap:
+            if edge_cap is not None and len(edge_list) + s > edge_cap:
+                continue
+            if tau_cap is not None and s * tau_g > tau_cap:
+                continue
+            if any(
+                (d > s or bits >> u & 1) and all(bits & c for c in comps)
+                for d, u, comps in heavy[s]
+            ):
                 continue
             pairs = edge_list + [
                 (v, old, 1) for v in range(old) if bits >> v & 1
@@ -167,9 +233,17 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
 
     A graph with a cycle has at least as many edges as vertices, so levels
     up to max_edges vertices exhaust every candidate.
+
+    max_edges may not exceed BETA_EDGE_CEILING: beta_exact(13, E) for
+    E = 9, 10, 11, 12 took 0.46, 2.0, 7.5 and 28 s of CPU time on a 2-vCPU
+    Xeon VM, about 4x per extra edge.
     """
     if n < 3:
         raise GraphError("beta is defined for n >= 3")
+    if max_edges > BETA_EDGE_CEILING:
+        raise GraphError(
+            f"search ceiling exceeded: max_edges {max_edges} > {BETA_EDGE_CEILING}"
+        )
     cap = _cap_tier(n)
     best: tuple[int, Multigraph, TreeCount] | None = None
     levels = []

@@ -180,9 +180,11 @@ def test_idoneal_commands(capsys):
         ("idoneal", "0"),
         ("idoneal", "--scan", "-5"),
         ("idoneal", "--scan", str(cli.IDONEAL_SCAN_MAX + 1)),
+        ("idoneal", str(cli.IDONEAL_SCAN_MAX + 1)),
         ("scan", "3", "10", "--jobs", "0"),
         ("count", "--spec", "theta:1,1"),
         ("alpha", "25", "--max-vertices", "12"),
+        ("beta", "25", "--max-edges", "13"),
     ],
     ids=" ".join,
 )

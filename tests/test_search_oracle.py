@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
@@ -7,6 +8,7 @@ import pytest
 from treeforge.graph_core import (
     Multigraph,
     are_isomorphic,
+    canonical_form,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -16,6 +18,7 @@ from treeforge.search_oracle import (
     SearchKind,
     Skeleton,
     _Sweep,
+    _level,
     alpha_exact,
     beta_exact,
     enumerate_connected_graphs,
@@ -27,7 +30,51 @@ from treeforge.tree_count import tau_matrix
 from oracles import brute_isomorphic, brute_subdivision_sweep
 
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
+
+
+@lru_cache(maxsize=None)
+def reference_level(k, tau_cap, edge_cap=None):
+    """_level before its skip tests: every candidate is built, counted and
+    canonicalised. Not an independent oracle (it shares tau_matrix and
+    canonical_form), but the skip tests must leave its output unchanged."""
+    if k < 1:
+        return ()
+    if k == 1:
+        return ((Multigraph(1, ()), 1),)
+    out = {}
+    base = reference_level(k - 1, tau_cap, edge_cap)
+    old = k - 1
+    for g, _ in base:
+        edge_list = list(g.edges)
+        for bits in range(1, 1 << old):
+            # g is simple, so the candidate has one edge per pair
+            if edge_cap is not None and len(edge_list) + bits.bit_count() > edge_cap:
+                continue
+            pairs = edge_list + [
+                (v, old, 1) for v in range(old) if bits >> v & 1
+            ]
+            cand = Multigraph(k, tuple(sorted(pairs)))
+            t = tau_matrix(cand)  # cheaper than canonicalizing, so filter first
+            if tau_cap is not None and t > tau_cap:
+                continue
+            key = canonical_form(cand)
+            if key not in out:
+                out[key] = (cand, t)
+    return tuple(sorted(out.values(), key=lambda item: (item[0].edge_count, item[0].edges)))
+
+
+LEVEL_CASES = (
+    [(k, None, None) for k in range(1, 8)]
+    + [(k, 64, None) for k in range(1, 9)]
+    + [(k, 64, e) for e in range(4, 10) for k in range(1, e + 1)]
+)
+
+
+@pytest.mark.parametrize("k, tau_cap, edge_cap", LEVEL_CASES)
+def test_level_equals_reference(k, tau_cap, edge_cap):
+    # same classes, same representative edge lists, same order
+    assert _level(k, tau_cap, edge_cap) == reference_level(k, tau_cap, edge_cap)
 
 
 class TestEnumeration:
@@ -330,6 +377,15 @@ class TestVerifier:
         report = verify_no_smaller_graph(5, 7)
         assert not report.proved
         assert any(are_isomorphic(g, cycle_graph(5)) for g in report.witnesses)
+
+    def test_agrees_with_alpha_at_small_budgets(self):
+        # a budget b <= 9 asks about graphs on at most 8 vertices, which
+        # alpha_exact(n, 8) searches exhaustively by a different method
+        for n in range(3, 40):
+            alpha = alpha_exact(n, 8).value
+            for budget in range(3, 10):
+                proved = verify_no_smaller_graph(n, budget).proved
+                assert proved == (alpha is None or alpha >= budget), (n, budget)
 
     @pytest.mark.slow
     def test_22_is_a_fixed_point(self):
