@@ -9,11 +9,9 @@ compute the extremal functions alpha(n) (fewest vertices) and beta(n)
 from .graph_core import (
     GraphError,
     Multigraph,
-    SimpleGraphCertificate,
     add_path,
     are_isomorphic,
     canonical_form,
-    certify_simple,
     complete_graph,
     contract_edge,
     cycle_graph,

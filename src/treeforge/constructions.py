@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graph_core import GraphError, Multigraph, add_path
+from .graph_core import GraphError, Multigraph, add_path, subdivision
 from .tree_count import TreeCount
 
 
@@ -181,23 +181,9 @@ def tau_generalized_theta(lengths: Sequence[int]) -> TreeCount:
 # builders
 
 
-def _theta_base(a: int, b: int, c: int) -> tuple[Multigraph, list[list[int]]]:
-    """Theta graph with anchors 0, 1; returns (graph, path vertex chains)."""
-    chains = []
-    nxt = 2
-    pairs = []
-    for length in (a, b, c):
-        chain = [0] + list(range(nxt, nxt + length - 1)) + [1]
-        nxt += length - 1
-        pairs.extend((chain[i], chain[i + 1]) for i in range(length))
-        chains.append(chain)
-    return Multigraph.from_edges(nxt, pairs), chains
-
-
 def build_theta(spec: ThetaSpec) -> Multigraph:
     """Simple theta graph on a+b+c-1 vertices with a+b+c edges."""
-    g, _ = _theta_base(spec.a, spec.b, spec.c)
-    return g
+    return subdivision(2, [(0, 1)] * 3, spec.lengths)
 
 
 def build_cycle_glue(a: int, b: int) -> Multigraph:
@@ -209,13 +195,7 @@ def build_cycle_glue(a: int, b: int) -> Multigraph:
 
 def build_bouquet(spec: BouquetSpec) -> Multigraph:
     """Cycles of the given lengths all identified at vertex 0."""
-    pairs = []
-    nxt = 1
-    for length in spec.cycle_lengths:
-        chain = [0] + list(range(nxt, nxt + length - 1)) + [0]
-        nxt += length - 1
-        pairs.extend((chain[i], chain[i + 1]) for i in range(length))
-    return Multigraph.from_edges(nxt, pairs)
+    return subdivision(1, [(0, 0)] * len(spec.cycle_lengths), spec.cycle_lengths)
 
 
 def tau_bouquet(spec: BouquetSpec) -> TreeCount:
@@ -233,13 +213,7 @@ def build_generalized_theta(lengths: Sequence[int]) -> Multigraph:
         raise GraphError("path lengths must be positive")
     if sum(1 for l in lengths if l == 1) > 1:
         raise GraphError("not simple: at most one path may have length 1")
-    pairs = []
-    nxt = 2
-    for length in lengths:
-        chain = [0] + list(range(nxt, nxt + length - 1)) + [1]
-        nxt += length - 1
-        pairs.extend((chain[i], chain[i + 1]) for i in range(length))
-    return Multigraph.from_edges(nxt, pairs)
+    return subdivision(2, [(0, 1)] * len(lengths), lengths)
 
 
 def build_variant(spec: VariantSpec) -> Multigraph:
@@ -247,10 +221,13 @@ def build_variant(spec: VariantSpec) -> Multigraph:
     err = variant_constraint_violation(spec)
     if err is not None:
         raise GraphError(err)
-    g, chains = _theta_base(spec.a, spec.b, spec.c)
-    pa, pb = chains[0], chains[1]
+    a, b = spec.a, spec.b
+    g = build_theta(ThetaSpec(a, b, spec.c))
+    # vertices along the a-path and the b-path, from anchor 0 to anchor 1
+    pa = [0, *range(2, a + 1), 1]
+    pb = [0, *range(a + 1, a + b), 1]
     if spec.kind == "v0":
-        x, y = pa[spec.a1], pa[spec.a - spec.a2]
+        x, y = pa[spec.a1], pa[a - spec.a2]
     elif spec.kind == "v1":
         x, y = 0, pa[spec.a1]
     else:

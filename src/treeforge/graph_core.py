@@ -1,6 +1,6 @@
 """Immutable undirected multigraphs and the edge operations that exact
-spanning-tree counting is built on: deletion, contraction, path attachment,
-canonical labeling, and 2-edge-connectivity.
+spanning-tree counting is built on: deletion, contraction, path attachment
+and subdivision, canonical labeling, and blocks and bridges.
 
 Vertices are always labeled 0..n-1. Parallel edges are stored as integer
 multiplicities on unordered pairs. Loops are never stored: contraction
@@ -119,20 +119,8 @@ class Multigraph:
         return f"Multigraph({self.vertex_count}, {list(self.edges)!r})"
 
 
-@dataclass(frozen=True)
-class SimpleGraphCertificate:
-    """Result of checking a multigraph for parallel edges."""
-
-    holds_for: Multigraph
-    is_simple: bool
-
-
 def is_simple(g: Multigraph) -> bool:
     return all(m == 1 for _, _, m in g.edges)
-
-
-def certify_simple(g: Multigraph) -> SimpleGraphCertificate:
-    return SimpleGraphCertificate(g, is_simple(g))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +185,13 @@ def contract_edge(g: Multigraph, u: int, v: int) -> Multigraph:
     return Multigraph.from_edges(g.vertex_count - 1, pairs)
 
 
+def _chain(u: int, v: int, first: int, k: int) -> list[tuple[int, int]]:
+    """The k edges of a path from u to v through the fresh vertices first,
+    first + 1, ..., first + k - 2 in order."""
+    chain = [u, *range(first, first + k - 1), v]
+    return list(zip(chain, chain[1:]))
+
+
 def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
     """Join u and v by a new internally disjoint path of length k.
 
@@ -210,9 +205,25 @@ def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
         raise GraphError("path length must be >= 1")
     if k == 1 and u == v:
         raise GraphError("loop forbidden: a length-1 path needs distinct endpoints")
-    chain = [u] + list(range(n, n + k - 1)) + [v]
-    pairs = list(g.edges) + [(chain[i], chain[i + 1], 1) for i in range(k)]
-    return Multigraph.from_edges(n + k - 1, pairs)
+    return Multigraph.from_edges(n + k - 1, [*g.edges, *_chain(u, v, n, k)])
+
+
+def subdivision(
+    vertex_count: int, slots: Sequence[tuple[int, int]], lengths: Sequence[int]
+) -> Multigraph:
+    """The graph on vertices 0..vertex_count-1 in which slot i, a pair
+    (u, v) (u == v is a loop), becomes a path of lengths[i] edges.
+
+    Interior path vertices are numbered from vertex_count on, slot by slot
+    in order, so the labeling of every subdivision is reproducible. A loop
+    of length 1 is rejected, since Multigraph stores no loops.
+    """
+    pairs: list[tuple[int, int]] = []
+    nxt = vertex_count
+    for (u, v), k in zip(slots, lengths):
+        pairs += _chain(u, v, nxt, k)
+        nxt += k - 1
+    return Multigraph.from_edges(nxt, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +457,8 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
     return repr((n, tuple(sorted(init)), best[0])).encode()
 
 
-def _find(parent: dict[int, int], x: int) -> int:
+def _find(parent: dict[int, int] | list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -463,86 +475,79 @@ def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
 # connectivity structure
 
 
+def _blocks(g: Multigraph) -> tuple[int, list[dict[tuple[int, int], int]]]:
+    """Connected component count and edge blocks of g, from one lowpoint
+    DFS (Hopcroft & Tarjan, CACM 16, 1973) started at every unvisited root.
+
+    Each block maps its pairs (u, v), u < v, to their multiplicities, read
+    off the adjacency map. The DFS walks pairs, not copies: a copy parallel
+    to the tree edge (p, x) would lower low[x] at most to disc[p], which
+    leaves the block test low[x] >= disc[p] as it is. So a bundle stays in
+    one block, and a block is a bridge exactly when it is one pair of
+    multiplicity 1. Isolated vertices are components without blocks.
+    """
+    n = g.vertex_count
+    adj = g.adjacency()
+    disc = [-1] * n
+    low = [0] * n
+    timer = 0
+    roots = 0
+    blocks: list[dict[tuple[int, int], int]] = []
+    edge_stack: list[tuple[int, int]] = []
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        roots += 1
+        disc[root] = low[root] = timer
+        timer += 1
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj[root]))]
+        while stack:
+            x, parent, it = stack[-1]
+            for y in it:
+                if disc[y] == -1:
+                    edge_stack.append((x, y))
+                    disc[y] = low[y] = timer
+                    timer += 1
+                    stack.append((y, x, iter(adj[y])))
+                    break
+                if y != parent and disc[y] < disc[x]:  # a back edge
+                    edge_stack.append((x, y))
+                    low[x] = min(low[x], disc[y])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] >= disc[p]:  # (p, x) and the edges above it form a block
+                        block = {}
+                        while True:
+                            u, v = edge_stack.pop()
+                            block[(u, v) if u < v else (v, u)] = adj[u][v]
+                            if u == p and v == x:
+                                break
+                        blocks.append(block)
+    return roots, blocks
+
+
+def _is_bridge(block: dict[tuple[int, int], int]) -> bool:
+    return len(block) == 1 and 1 in block.values()
+
+
 def is_two_edge_connected(g: Multigraph) -> bool:
     """True iff the graph is connected and has no bridge.
 
     A parallel pair is never a bridge. Cut vertices are fine: C_{3,3}
     (two triangles sharing a vertex) passes. Raises on disconnected input.
     """
-    if not g.is_connected():
+    roots, blocks = _blocks(g)
+    if roots > 1:
         raise GraphError("graph not connected")
-    n = g.vertex_count
-    if n <= 1:
-        return True
-    adj = g.adjacency()
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    # iterative DFS; a tree edge (p, x) is a bridge iff low[x] > disc[p]
-    # and the pair has multiplicity 1
-    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        x, parent, it = stack[-1]
-        advanced = False
-        for y in it:
-            if disc[y] == -1:
-                disc[y] = low[y] = timer
-                timer += 1
-                stack.append((y, x, iter(adj[y])))
-                advanced = True
-                break
-            if y != parent:
-                low[x] = min(low[x], disc[y])
-            elif adj[x][y] > 1:
-                low[x] = min(low[x], disc[y])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[x] > disc[p] and adj[p][x] == 1:
-                    return False
-                low[p] = min(low[p], low[x])
-    return True
+    return not any(map(_is_bridge, blocks))
 
 
 def bridges(g: Multigraph) -> list[tuple[int, int]]:
     """All bridge pairs (u, v), u < v. Parallel bundles are never bridges."""
-    out = []
-    n = g.vertex_count
-    if n <= 1:
-        return out
-    adj = g.adjacency()
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj[root]))]
-        while stack:
-            x, parent, it = stack[-1]
-            advanced = False
-            for y in it:
-                if disc[y] == -1:
-                    disc[y] = low[y] = timer
-                    timer += 1
-                    stack.append((y, x, iter(adj[y])))
-                    advanced = True
-                    break
-                if y != parent or adj[x][y] > 1:
-                    low[x] = min(low[x], disc[y])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[x] > disc[p] and adj[p][x] == 1:
-                        out.append((min(p, x), max(p, x)))
-                    low[p] = min(low[p], low[x])
-    return sorted(out)
+    return sorted(next(iter(b)) for b in _blocks(g)[1] if _is_bridge(b))
 
 
 def biconnected_components(g: Multigraph) -> list[Multigraph]:
@@ -551,53 +556,13 @@ def biconnected_components(g: Multigraph) -> list[Multigraph]:
     The spanning-tree count multiplies over blocks, so counting can
     factor through this decomposition.
     """
-    if not g.is_connected():
+    roots, blocks = _blocks(g)
+    if roots > 1:
         raise GraphError("graph not connected")
-    n = g.vertex_count
-    if n <= 1 or not g.edges:
-        return []
-    adj = g.adjacency()
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[tuple[int, int]] = []
-    comps: list[list[tuple[int, int]]] = []
-    disc[0] = low[0] = timer
-    timer += 1
-    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(sorted(adj[0])))]
-    while stack:
-        x, parent, it = stack[-1]
-        advanced = False
-        for y in it:
-            if disc[y] == -1:
-                edge_stack.append((x, y))
-                disc[y] = low[y] = timer
-                timer += 1
-                stack.append((y, x, iter(sorted(adj[y]))))
-                advanced = True
-                break
-            if y != parent and disc[y] < disc[x]:
-                edge_stack.append((x, y))
-                low[x] = min(low[x], disc[y])
-            elif y == parent and adj[x][y] > 1:
-                low[x] = min(low[x], disc[y])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[x])
-                if low[x] >= disc[p]:
-                    comp = []
-                    while edge_stack and edge_stack[-1] != (p, x):
-                        comp.append(edge_stack.pop())
-                    if edge_stack:
-                        comp.append(edge_stack.pop())
-                    if comp:
-                        comps.append(comp)
-    blocks = []
-    for comp in comps:
-        verts = sorted({v for e in comp for v in e})
+    out = []
+    for block in blocks:
+        verts = sorted({v for pair in block for v in pair})
         index = {v: i for i, v in enumerate(verts)}
-        pairs = [(index[u], index[v], g.multiplicity(u, v)) for u, v in {tuple(sorted(e)) for e in comp}]
-        blocks.append(Multigraph.from_edges(len(verts), pairs))
-    return blocks
+        triples = sorted((index[u], index[v], m) for (u, v), m in block.items())
+        out.append(Multigraph(len(verts), tuple(triples)))
+    return out

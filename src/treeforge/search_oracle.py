@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -36,13 +35,19 @@ from .graph_core import (
     GraphError,
     Multigraph,
     canonical_form,
+    cycle_graph,
+    subdivision,
 )
 from .minimal_builder import Strategy, Witness
-from .tree_count import TreeCount, tau_matrix
+from .tree_count import TreeCount, eval_terms, tau_matrix, tree_terms
 
 DEFAULT_VERTEX_CEILING = 9
 #: Largest max_edges that beta_exact accepts (see its docstring).
 BETA_EDGE_CEILING = 12
+#: Largest cyclomatic number whose skeletons verify_no_smaller_graph
+#: enumerates. enumerate_skeletons finishes level 4 in under a second; level
+#: 5, first needed at n = 40, did not finish in 5 minutes.
+SKELETON_CEILING = 4
 
 
 class SearchKind(enum.Enum):
@@ -254,7 +259,7 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
             if t == n and g.edge_count <= max_edges:
                 if best is None or g.edge_count < best[0]:
                     best = (g.edge_count, g, t)
-    space = _space("beta", max_edges, n, levels)
+    space = _space("beta", max_edges, cap, levels)
     if best is None:
         return SearchResult(n, SearchKind.BETA, None, None, space)
     edges, g, t = best
@@ -286,18 +291,6 @@ class Skeleton:
         return f"{self.vertex_count} vertices, slots {list(self.slots)}"
 
 
-def _skeleton_key(v: int, slots: Sequence[tuple[int, int]]) -> bytes:
-    loops = [0] * v
-    pairs = []
-    for a, b in slots:
-        if a == b:
-            loops[a] += 1
-        else:
-            pairs.append((a, b))
-    residue = Multigraph.from_edges(v, pairs) if pairs else Multigraph(v, ())
-    return canonical_form(residue, colors=loops)
-
-
 @lru_cache(maxsize=None)
 def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
     """All skeletons with the given cyclomatic number, up to isomorphism,
@@ -324,13 +317,23 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
             if remaining == 0:
                 if any(d < 3 for d in deg):
                     return
-                slots = []
-                for cell, m in zip(cells, counts):
-                    slots.extend([cell] * m)
-                if not _slots_connected(v, slots):
+                # the loopless part, colored by loop counts, is the key;
+                # cells are sorted, so its triples are too
+                loops = [0] * v
+                triples = []
+                for (a, b), m in zip(cells, counts):
+                    if a == b:
+                        loops[a] += m
+                    elif m:
+                        triples.append((a, b, m))
+                residue = Multigraph(v, tuple(triples))
+                if not residue.is_connected():
                     return
-                key = _skeleton_key(v, slots)
+                key = canonical_form(residue, colors=loops)
                 if key not in found:
+                    slots = []
+                    for cell, m in zip(cells, counts):
+                        slots.extend([cell] * m)
                     found[key] = Skeleton(v, tuple(slots))
                 return
             if idx == len(cells):
@@ -357,28 +360,6 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
 
         place(0, e)
     return tuple(sorted(found.values(), key=lambda s: (s.vertex_count, s.slots)))
-
-
-def _slots_connected(v: int, slots: Sequence[tuple[int, int]]) -> bool:
-    if v == 1:
-        return True
-    parent = list(range(v))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = v
-    for a, b in slots:
-        if a == b:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +390,7 @@ class _Sweep:
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
         self.slots = list(skeleton.slots)
-        self.loop_idx = [i for i, (a, b) in enumerate(self.slots) if a == b]
-        edge_idx = [i for i, (a, b) in enumerate(self.slots) if a != b]
-        self.terms = self._tree_complements(edge_idx)
+        self.terms = tree_terms(skeleton.vertex_count, self.slots)
         classes: dict[tuple[int, int], list[int]] = {}
         for i, cell in enumerate(self.slots):
             classes.setdefault(cell, []).append(i)
@@ -438,43 +417,8 @@ class _Sweep:
                     seen_one.add(cell)
                 self.mins.append(self.floors[i])
 
-    def _tree_complements(self, edge_idx: list[int]) -> list[tuple[int, ...]]:
-        v = self.skeleton.vertex_count
-        loops = tuple(self.loop_idx)
-        if v == 1:
-            return [loops]
-        out = []
-        for tree in combinations(edge_idx, v - 1):
-            parent = list(range(v))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for i in tree:
-                a, b = self.slots[i]
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    ok = False
-                    break
-                parent[ra] = rb
-            if ok:
-                inside = set(tree)
-                rest = tuple(i for i in edge_idx if i not in inside)
-                out.append(loops + rest)
-        return out
-
     def tau(self, lengths: Sequence[int]) -> TreeCount:
-        total = 0
-        for term in self.terms:
-            prod = 1
-            for i in term:
-                prod *= lengths[i]
-            total += prod
-        return total
+        return eval_terms(self.terms, lengths)
 
     def min_lengths(self) -> list[int]:
         """Componentwise minimal admissible (simple) assignment: loops need
@@ -488,14 +432,7 @@ class _Sweep:
         return self.skeleton.vertex_count + sum(l - 1 for l in self.mins)
 
     def build(self, lengths: Sequence[int]) -> Multigraph:
-        n = self.skeleton.vertex_count
-        pairs = []
-        nxt = n
-        for (u, v), l in zip(self.slots, lengths):
-            chain = [u] + list(range(nxt, nxt + l - 1)) + [v]
-            nxt += l - 1
-            pairs.extend((chain[i], chain[i + 1], 1) for i in range(l))
-        return Multigraph.from_edges(nxt, pairs)
+        return subdivision(self.skeleton.vertex_count, self.slots, lengths)
 
     def find_assignments(
         self, n: int, vertex_budget: int
@@ -651,15 +588,15 @@ class FixedPointReport:
         }
 
 
-def verify_no_smaller_graph(
-    n: int, vertex_budget: int, max_cyclomatic: int = 12
-) -> FixedPointReport:
+def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
     """Decide whether some simple graph on fewer than vertex_budget vertices
     has exactly n spanning trees, by exhausting skeleton subdivisions.
 
     proved=True means no such graph exists; otherwise every witness found
     is listed. The transcript records each skeleton with its minimal count
-    and sweep statistics.
+    and sweep statistics. Raises GraphError, before enumerating anything
+    above it, when the proof needs a level above SKELETON_CEILING; the
+    minimum count at level 4 is 40, so every n <= 39 stops in time.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
@@ -667,8 +604,6 @@ def verify_no_smaller_graph(
     seen: set[bytes] = set()
 
     if 3 <= n < vertex_budget:
-        from .graph_core import cycle_graph
-
         g = cycle_graph(n)
         witnesses.append(g)
         seen.add(canonical_form(g))
@@ -680,13 +615,12 @@ def verify_no_smaller_graph(
         )
 
     levels: list[dict] = []
-    stop_reason = ""
     c = 2
     while True:
-        if c > max_cyclomatic:
-            stop_reason = f"gave up at cyclomatic number {c} (limit {max_cyclomatic})"
-            return FixedPointReport(
-                n, vertex_budget, False, witnesses, cycle_case, levels, stop_reason
+        if c > SKELETON_CEILING:
+            raise GraphError(
+                f"n = {n} needs skeletons of cyclomatic number {c}, "
+                f"above the enumeration ceiling {SKELETON_CEILING}"
             )
         audits = []
         level_min: TreeCount | None = None

@@ -23,7 +23,11 @@ tau(delete all copies).
 
 tau_subdivision evaluates the count for a skeleton whose edges are blown
 up into paths: sum over spanning trees T of the skeleton of the product of
-the lengths of the slots outside T.
+the lengths of the slots outside T. The terms come from tree_terms, the one
+listing of spanning trees over slot pairs (loops allowed, and in every
+term), which the skeleton sweep of search_oracle shares; eval_terms sums
+their products. Both take a skeleton given as a vertex count and a list of
+(u, v) slot pairs, the form graph_core.subdivision builds from.
 
 The two general-purpose methods are independent implementations and are
 cross-checked against each other in the test suite.
@@ -31,7 +35,6 @@ cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
@@ -41,15 +44,17 @@ from typing import Mapping, Sequence
 from .graph_core import (
     GraphError,
     Multigraph,
+    _find,
     biconnected_components,
     canonical_form,
     contract_edge,
+    subdivision,
 )
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 
+#: Entries the per-thread deletion-contraction memo keeps (LRU).
 DEFAULT_MEMO_CAP = 1 << 20
-_MEMO_ENV = "TREEFORGE_MEMO_CAP"
 
 
 def tau_matrix(g: Multigraph) -> TreeCount:
@@ -132,16 +137,6 @@ def tau_matrix(g: Multigraph) -> TreeCount:
 # deletion-contraction
 
 _local = threading.local()
-
-
-def _memo_cap() -> int:
-    raw = os.environ.get(_MEMO_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MEMO_CAP
 
 
 def _memo() -> OrderedDict:
@@ -230,21 +225,19 @@ def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
     return factor * value
 
 
-def tau_dc(g: Multigraph, memo_cap: int | None = None) -> TreeCount:
+def tau_dc(g: Multigraph) -> TreeCount:
     """Spanning-tree count by deletion-contraction.
 
     Agrees with tau_matrix everywhere. The memo table is per-thread (so
-    concurrent callers never contend or deadlock) and LRU-bounded; the cap
-    comes from ``memo_cap``, the TREEFORGE_MEMO_CAP environment variable,
-    or a default of 2**20 entries.
+    concurrent callers never contend or deadlock) and keeps the
+    DEFAULT_MEMO_CAP most recently used entries.
     """
     n = g.vertex_count
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
-    cap = memo_cap if memo_cap is not None else _memo_cap()
-    return _tau_dc_block(g, _memo(), cap)
+    return _tau_dc_block(g, _memo(), DEFAULT_MEMO_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +265,46 @@ def _slot_lengths(
     return out
 
 
-def _spanning_tree_slot_sets(skeleton: Multigraph) -> list[tuple[int, ...]]:
-    """Indices of non-tree slots, one tuple per spanning tree of the skeleton."""
-    slots = skeleton.slots()
-    n = skeleton.vertex_count
-    out = []
-    if n == 1:
-        return [tuple(range(len(slots)))]
-    for tree in combinations(range(len(slots)), n - 1):
-        parent = list(range(n))
+def tree_terms(
+    vertex_count: int, slots: Sequence[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """One term per spanning tree of the skeleton with these slots: the
+    ascending indices of the slots outside the tree.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
+    A loop (u == v) lies in no tree, so it is in every term. Trees are
+    listed in the order of their slot sets, as (vertex_count - 1)-subsets
+    of the loopless slots in lexicographic order, each kept when it joins
+    all vertices without a cycle.
+    """
+    edge_idx = [i for i, (u, v) in enumerate(slots) if u != v]
+    terms = []
+    for tree in combinations(edge_idx, vertex_count - 1):
+        parent = list(range(vertex_count))
         for i in tree:
-            u, v, _ = slots[i]
-            ru, rv = find(u), find(v)
+            u, v = slots[i]
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
-                ok = False
                 break
             parent[ru] = rv
-        if ok:
+        else:
             inside = set(tree)
-            out.append(tuple(i for i in range(len(slots)) if i not in inside))
-    return out
+            terms.append(tuple(i for i in range(len(slots)) if i not in inside))
+    return terms
+
+
+def eval_terms(terms: Sequence[Sequence[int]], lengths: Sequence[int]) -> TreeCount:
+    """Sum over the terms of the product of the lengths they index."""
+    total = 0
+    for term in terms:
+        prod = 1
+        for i in term:
+            prod *= lengths[i]
+        total += prod
+    return total
+
+
+def _slot_pairs(skeleton: Multigraph) -> list[tuple[int, int]]:
+    return [(u, v) for u, v, _ in skeleton.slots()]
 
 
 def tau_subdivision(
@@ -315,13 +320,7 @@ def tau_subdivision(
     if not skeleton.is_connected():
         raise GraphError("skeleton must be connected")
     ls = _slot_lengths(skeleton, lengths)
-    total = 0
-    for term in _spanning_tree_slot_sets(skeleton):
-        prod = 1
-        for i in term:
-            prod *= ls[i]
-        total += prod
-    return total
+    return eval_terms(tree_terms(skeleton.vertex_count, _slot_pairs(skeleton)), ls)
 
 
 def subdivide(
@@ -330,11 +329,4 @@ def subdivide(
 ) -> Multigraph:
     """Explicitly build the subdivision (slot i replaced by a path)."""
     ls = _slot_lengths(skeleton, lengths)
-    n = skeleton.vertex_count
-    pairs: list[tuple[int, int, int]] = []
-    nxt = n
-    for (u, v, _), l in zip(skeleton.slots(), ls):
-        chain = [u] + list(range(nxt, nxt + l - 1)) + [v]
-        nxt += l - 1
-        pairs.extend((chain[i], chain[i + 1], 1) for i in range(l))
-    return Multigraph.from_edges(nxt, pairs)
+    return subdivision(skeleton.vertex_count, _slot_pairs(skeleton), ls)

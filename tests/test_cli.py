@@ -154,7 +154,10 @@ def test_alpha_beta_commands(capsys):
     code, out, _ = run(capsys, "alpha", "8", "--json")
     assert code == 0 and json.loads(out)["outputs"]["value"] == 4
     code, out, _ = run(capsys, "beta", "9", "--max-edges", "7", "--json")
-    assert code == 0 and json.loads(out)["outputs"]["value"] == 6
+    outputs = json.loads(out)["outputs"]
+    assert code == 0 and outputs["value"] == 6
+    # levels are built under the cap tier 64, not under n = 9
+    assert "tree count <= 64 " in outputs["search_space"]["filter"]
 
 
 def test_fixedpoint_proved_and_refuted(capsys):
@@ -185,6 +188,7 @@ def test_idoneal_commands(capsys):
         ("count", "--spec", "theta:1,1"),
         ("alpha", "25", "--max-vertices", "12"),
         ("beta", "25", "--max-edges", "13"),
+        ("fixedpoint", "40"),
     ],
     ids=" ".join,
 )

@@ -20,6 +20,8 @@ from treeforge.graph_core import (
     path_graph,
 )
 
+from treeforge.tree_count import tau_matrix
+
 from oracles import brute_isomorphic, brute_tau, random_connected_multigraph
 
 
@@ -266,8 +268,67 @@ def test_add_path_count_invariants(seed, k):
 
 
 def test_simplicity_certificate():
-    from treeforge.graph_core import certify_simple
-
-    assert certify_simple(cycle_graph(3)).is_simple
-    assert not certify_simple(doubled_edge()).is_simple
     assert is_simple(complete_graph(4))
+    assert not is_simple(doubled_edge())
+
+
+def _component_count(g):
+    """Components by repeated flooding over the edge triples."""
+    unseen = set(range(g.vertex_count))
+    count = 0
+    while unseen:
+        count += 1
+        frontier = {unseen.pop()}
+        while frontier:
+            nxt = {b for a, b, _ in g.edges if a in frontier} | {
+                a for a, b, _ in g.edges if b in frontier
+            }
+            frontier = nxt & unseen
+            unseen -= frontier
+    return count
+
+
+def _random_multigraph(rng):
+    """Connected about half the time; otherwise random pairs on up to 9
+    vertices, often in several components and with isolated vertices."""
+    if rng.random() < 0.5:
+        return random_connected_multigraph(rng, max_vertices=9, extra_edges=6)
+    n = rng.randint(1, 9)
+    pairs = []
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.append((u, v, rng.choice((1, 1, 1, 2, 3))))
+    return Multigraph.from_edges(n, pairs)
+
+
+def test_blocks_and_bridges_against_edge_deletion():
+    """bridges, is_two_edge_connected and biconnected_components share one
+    lowpoint DFS; check each against deleting edges and counting trees."""
+    rng = random.Random(2024)
+    connected_seen = disconnected_seen = 0
+    for _ in range(400):
+        g = _random_multigraph(rng)
+        comps = _component_count(g)
+        expected = sorted(
+            (u, v)
+            for u, v, m in g.edges
+            if m == 1 and _component_count(delete_edge(g, u, v)) > comps
+        )
+        assert bridges(g) == expected
+        if comps > 1:
+            disconnected_seen += 1
+            with pytest.raises(GraphError, match="not connected"):
+                is_two_edge_connected(g)
+            with pytest.raises(GraphError, match="not connected"):
+                biconnected_components(g)
+            continue
+        connected_seen += 1
+        assert is_two_edge_connected(g) == (not expected)
+        blocks = biconnected_components(g)
+        assert sum(b.edge_count for b in blocks) == g.edge_count
+        product = 1
+        for b in blocks:
+            product *= tau_matrix(b)
+        assert product == tau_matrix(g)
+    assert connected_seen > 150 and disconnected_seen > 50

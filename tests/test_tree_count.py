@@ -10,6 +10,7 @@ from treeforge.graph_core import (
     cycle_graph,
     delete_edge,
 )
+from treeforge import tree_count
 from treeforge.tree_count import clear_memo, subdivide, tau_dc, tau_matrix, tau_subdivision
 
 from oracles import brute_tau, fib, random_connected_multigraph
@@ -111,16 +112,13 @@ class TestTauDC:
             g = random_connected_multigraph(rng, max_vertices=7)
             assert tau_dc(g) == tau_matrix(g)
 
-    def test_small_memo_cap_still_correct(self, rng):
+    def test_small_memo_cap_still_correct(self, rng, monkeypatch):
+        monkeypatch.setattr(tree_count, "DEFAULT_MEMO_CAP", 4)
         clear_memo()
         for _ in range(20):
             g = random_connected_multigraph(rng, max_vertices=6)
-            assert tau_dc(g, memo_cap=4) == tau_matrix(g)
-
-    def test_memo_cap_env(self, monkeypatch):
-        monkeypatch.setenv("TREEFORGE_MEMO_CAP", "16")
-        clear_memo()
-        assert tau_dc(complete_graph(5)) == 125
+            assert tau_dc(g) == tau_matrix(g)
+            assert len(tree_count._memo()) <= 4
 
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
