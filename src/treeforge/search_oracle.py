@@ -21,6 +21,16 @@ the whole family below a budget can be searched exactly. Levels stop once
 the minimum count at cyclomatic number c exceeds n: adding an ear raises
 the count by at least 2 (and a new cycle block multiplies it by >= 3), so
 deeper levels only grow.
+
+Both steps of the proof keep one labelled object per isomorphism class
+without canonicalising every candidate, in the manner of orderly generation
+(Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998): an
+object is kept only if no relabelling makes it lexicographically smaller.
+enumerate_skeletons cuts a partial cell-count vector when a vertex
+transposition already maps its fixed prefix to a smaller one, and the
+sweep keeps a hit vector only when no skeleton automorphism maps it to a
+smaller one. The docstrings of enumerate_skeletons and _Sweep give the
+arguments that both keep exactly the objects a full canonical dedup keeps.
 """
 
 from __future__ import annotations
@@ -45,8 +55,11 @@ DEFAULT_VERTEX_CEILING = 9
 #: Largest max_edges that beta_exact accepts (see its docstring).
 BETA_EDGE_CEILING = 12
 #: Largest cyclomatic number whose skeletons verify_no_smaller_graph
-#: enumerates. enumerate_skeletons finishes level 4 in under a second; level
-#: 5, first needed at n = 40, did not finish in 5 minutes.
+#: enumerates. Level 5, first needed at n = 40, enumerates its 1,076
+#: skeletons in about 1 s; what stays unbounded is the witness list: at
+#: level 5, verify_no_smaller_graph(72, 72) lists 132,244 witness classes
+#: in 21 s and 656 MB (CPython 3.11, 2-vCPU VM). The ceiling stays at 4
+#: until the witness list has a ceiling of its own.
 SKELETON_CEILING = 4
 
 
@@ -291,6 +304,24 @@ class Skeleton:
         return f"{self.vertex_count} vertices, slots {list(self.slots)}"
 
 
+def _transposition_sources(
+    v: int, cells: list[tuple[int, int]]
+) -> list[list[int]]:
+    """For each vertex transposition (a b), a < b, the index of the cell
+    that each cell's count comes from when the counts are permuted by it."""
+    index = {cell: k for k, cell in enumerate(cells)}
+    out = []
+    for a in range(v):
+        for b in range(a + 1, v):
+            swap = {a: b, b: a}
+            src = []
+            for i, j in cells:
+                x, y = swap.get(i, i), swap.get(j, j)
+                src.append(index[(x, y) if x <= y else (y, x)])
+            out.append(src)
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
     """All skeletons with the given cyclomatic number, up to isomorphism,
@@ -299,6 +330,22 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
     Minimum degree 3 forces vertex_count <= 2 * (cyclomatic - 1). Cached
     per cyclomatic number, so every fixed-point proof in a process
     enumerates each level once; the tuple keeps the shared value immutable.
+
+    For each vertex count, ``place`` fixes the slot count of one cell at a
+    time, cells in sorted order, so it visits the count vectors in
+    increasing lexicographic order. Its degree cuts only remove subtrees
+    without a valid leaf, and validity (degrees, connectivity) does not
+    depend on the labelling, so the first leaf it reaches in each class is
+    the class's lexicographically least vector: the one that ``found``
+    keeps. A node is cut when some vertex transposition maps its fixed
+    prefix to a strictly smaller one. The comparison runs over the cells
+    in order and stops at the first cell whose count comes from a cell
+    still open; at a leaf every cell is fixed. Every completion of a cut
+    prefix has a smaller image, so it is not least in its class and is
+    never kept, while the class's least vector has no smaller image and is
+    never cut. A transposition-minimal vector need not be least, so survivors are still deduplicated
+    by canonical_form, and the classes, representatives and their order
+    are those of the unpruned enumeration.
     """
     if cyclomatic < 2:
         raise GraphError("skeletons here have cyclomatic number >= 2")
@@ -310,10 +357,27 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
         # block where every endpoint exceeds i; once we leave that block,
         # vertex i's degree is final
         cells.sort()
+        sources = _transposition_sources(v, cells)
         counts = [0] * len(cells)
         deg = [0] * v
 
+        def beaten(fixed: int) -> bool:
+            """Some transposition maps the first ``fixed`` counts to a
+            lexicographically smaller prefix."""
+            for src in sources:
+                for p in range(fixed):
+                    s = src[p]
+                    if s >= fixed:
+                        break
+                    if counts[s] != counts[p]:
+                        if counts[s] < counts[p]:
+                            return True
+                        break
+            return False
+
         def place(idx: int, remaining: int) -> None:
+            if beaten(len(cells) if remaining == 0 else idx):
+                return
             if remaining == 0:
                 if any(d < 3 for d in deg):
                     return
@@ -384,18 +448,33 @@ class _Sweep:
     is in no parallel class and every length >= 1 is admissible.
 
     Built once per skeleton and process by ``_sweep_of``, so every query
-    reuses the terms, the slot split and the minimal lengths.
+    reuses the terms, the slot split, the minimal lengths and, once some
+    query has hits, the automorphisms.
+
+    Witnesses are deduplicated without canonical forms (``orbit_least``).
+    Suppressing the degree-2 vertices of a subdivision is canonical, so
+    isomorphic subdivisions come from the same skeleton and differ by a
+    skeleton automorphism together with a bijection inside each cell (a
+    parallel class or the loops at one vertex). Every member of such an
+    orbit is a hit, and the hits are sorted, so the orbit's
+    lexicographically least member is its first hit, the one a canonical
+    dedup keeps. It is the hit that no automorphism maps to a smaller
+    vector, where the image puts each cell's lengths, sorted ascending,
+    onto the image cell's slots. Different skeletons never give isomorphic
+    subdivisions, and no subdivision is a cycle, so nothing else can
+    repeat a witness.
     """
 
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
         self.slots = list(skeleton.slots)
         self.terms = tree_terms(skeleton.vertex_count, self.slots)
-        classes: dict[tuple[int, int], list[int]] = {}
+        # cell -> indices of its slots
+        self.cells: dict[tuple[int, int], list[int]] = {}
         for i, cell in enumerate(self.slots):
-            classes.setdefault(cell, []).append(i)
+            self.cells.setdefault(cell, []).append(i)
         self.parallel_classes = {
-            cell: idxs for cell, idxs in classes.items() if cell[0] != cell[1] and len(idxs) > 1
+            cell: idxs for cell, idxs in self.cells.items() if cell[0] != cell[1] and len(idxs) > 1
         }
         in_terms = {i for term in self.terms for i in term}
         self.cycle_idx = [i for i in range(len(self.slots)) if i in in_terms]
@@ -416,6 +495,7 @@ class _Sweep:
                 if cell in self.parallel_classes:
                     seen_one.add(cell)
                 self.mins.append(self.floors[i])
+        self._automorphisms: list[tuple[int, ...]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
         return eval_terms(self.terms, lengths)
@@ -433,6 +513,68 @@ class _Sweep:
 
     def build(self, lengths: Sequence[int]) -> Multigraph:
         return subdivision(self.skeleton.vertex_count, self.slots, lengths)
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """Vertex permutations of the skeleton that keep the slot count of
+        every cell, loops included; computed on first use and cached."""
+        if self._automorphisms is None:
+            v = self.skeleton.vertex_count
+            mult = {cell: len(idxs) for cell, idxs in self.cells.items()}
+            sig = [
+                (self.skeleton.degree(x), mult.get((x, x), 0)) for x in range(v)
+            ]
+            image = [0] * v
+            used = [False] * v
+            found: list[tuple[int, ...]] = []
+
+            def extend(x: int) -> None:
+                if x == v:
+                    found.append(tuple(image))
+                    return
+                for y in range(v):
+                    if used[y] or sig[y] != sig[x]:
+                        continue
+                    if any(
+                        mult.get((w, x), 0)
+                        != mult.get((min(image[w], y), max(image[w], y)), 0)
+                        for w in range(x)
+                    ):
+                        continue
+                    image[x] = y
+                    used[y] = True
+                    extend(x + 1)
+                    used[y] = False
+
+            extend(0)
+            self._automorphisms = found
+        return self._automorphisms
+
+    def orbit_least(self, hits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The hits that no automorphism maps to a lexicographically smaller
+        vector. The image under sigma puts cell C's lengths, sorted
+        ascending, onto the slots of cell sigma(C) in index order."""
+        if not hits:
+            return []
+        cells = self.cells
+        moves = []
+        for sigma in self.automorphisms():
+            move = []
+            for (a, b), idxs in cells.items():
+                x, y = sigma[a], sigma[b]
+                move.append((idxs, cells[(x, y) if x <= y else (y, x)]))
+            moves.append(move)
+        kept = []
+        image = [0] * len(self.slots)
+        for vec in hits:
+            for move in moves:
+                for src, dst in move:
+                    for j, l in zip(dst, sorted(vec[i] for i in src)):
+                        image[j] = l
+                if tuple(image) < vec:
+                    break
+            else:
+                kept.append(vec)
+        return kept
 
     def find_assignments(
         self, n: int, vertex_budget: int
@@ -601,12 +743,9 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
     if n < 3:
         raise GraphError("defined for n >= 3")
     witnesses: list[Multigraph] = []
-    seen: set[bytes] = set()
 
     if 3 <= n < vertex_budget:
-        g = cycle_graph(n)
-        witnesses.append(g)
-        seen.add(canonical_form(g))
+        witnesses.append(cycle_graph(n))
         cycle_case = f"the {n}-cycle itself has {n} vertices < budget"
     else:
         cycle_case = (
@@ -638,13 +777,10 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
             else:
                 tried, hits = sweep.find_assignments(n, vertex_budget)
                 audit.assignments_tried = tried
-                for vec in hits:
+                for vec in sweep.orbit_least(hits):
                     g = sweep.build(vec)
-                    key = canonical_form(g)
-                    if key not in seen:
-                        seen.add(key)
-                        audit.witnesses.append(g)
-                        witnesses.append(g)
+                    audit.witnesses.append(g)
+                    witnesses.append(g)
             audits.append(audit)
         levels.append(
             {

@@ -156,32 +156,44 @@ def _strip_pendants(g: Multigraph) -> tuple[Multigraph, int]:
     """Remove degree-1 vertices repeatedly; returns (core, multiplier).
 
     Every spanning tree must use one copy of each pendant bundle, so a
-    pendant with multiplicity m scales the count by m.
+    pendant with multiplicity m scales the count by m. Leaves are peeled
+    with a stack over one adjacency map, and the survivors are relabeled
+    once in increasing order, so the whole strip is linear in the size of
+    g. The core of a connected graph does not depend on the peeling order
+    (a tree always ends as the one-vertex graph).
     """
+    n = g.vertex_count
+    neighbours = [0] * n
+    for u, v, _ in g.edges:
+        neighbours[u] += 1
+        neighbours[v] += 1
+    leaves = [x for x in range(n) if neighbours[x] == 1]
+    if not leaves:
+        return g, 1
+    adj = g.adjacency()
+    removed = [False] * n
+    alive = n
     factor = 1
-    while g.vertex_count > 1:
-        deg: dict[int, list[tuple[int, int]]] = {}
-        for u, v, m in g.edges:
-            deg.setdefault(u, []).append((v, m))
-            deg.setdefault(v, []).append((u, m))
-        leaf = None
-        for v in range(g.vertex_count):
-            if len(deg.get(v, ())) == 1:
-                leaf = v
-                break
-        if leaf is None:
-            break
-        if leaf not in deg:  # isolated vertex: disconnected
-            return g, factor
-        _, m = deg[leaf][0]
+    while leaves and alive > 1:
+        x = leaves.pop()
+        if len(adj[x]) != 1:  # its last neighbour was peeled first
+            continue
+        (y, m), = adj[x].items()
         factor *= m
-        keep = [x for x in range(g.vertex_count) if x != leaf]
-        index = {x: i for i, x in enumerate(keep)}
-        pairs = [
-            (index[u], index[v], mm) for u, v, mm in g.edges if leaf not in (u, v)
-        ]
-        g = Multigraph.from_edges(g.vertex_count - 1, pairs)
-    return g, factor
+        removed[x] = True
+        alive -= 1
+        del adj[y][x]
+        if len(adj[y]) == 1:
+            leaves.append(y)
+    keep = [x for x in range(n) if not removed[x]]
+    index = {x: i for i, x in enumerate(keep)}
+    # the relabeling keeps the order, so the triples stay sorted
+    pairs = tuple(
+        (index[u], index[v], m)
+        for u, v, m in g.edges
+        if not (removed[u] or removed[v])
+    )
+    return Multigraph(alive, pairs), factor
 
 
 def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:

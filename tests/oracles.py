@@ -2,15 +2,20 @@
 
 Everything here is deliberately naive: spanning trees by enumerating edge
 subsets, isomorphism by trying all vertex permutations, representations by
-a bare triple loop. None of it shares code with the package.
+a bare triple loop. None of it shares code with the package, except the
+two pre-pruning references at the end: they keep the code paths that the
+skeleton prune and the orbit-least witness filter replaced, canonical_form
+included, so that the pruned versions can be checked to change no output.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from treeforge.graph_core import Multigraph
+from treeforge.graph_core import Multigraph, canonical_form, cycle_graph
+from treeforge.search_oracle import Skeleton, _Sweep, enumerate_skeletons
 
 
 def brute_tau(g: Multigraph) -> int:
@@ -186,3 +191,91 @@ def random_simple_connected(rng: random.Random, max_vertices: int = 8) -> Multig
         if u != v:
             pairs.add((min(u, v), max(u, v)))
     return Multigraph.from_edges(n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# pre-pruning references (share canonical_form and the sweep with the package)
+
+
+@lru_cache(maxsize=None)
+def reference_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
+    """enumerate_skeletons without the transposition prune: every valid
+    cell-count vector is canonicalised, the first of each class kept."""
+    found = {}
+    for v in range(1, 2 * (cyclomatic - 1) + 1):
+        e = v + cyclomatic - 1
+        cells = sorted((i, j) for i in range(v) for j in range(i, v))
+        counts = [0] * len(cells)
+        deg = [0] * v
+
+        def place(idx, remaining):
+            if remaining == 0:
+                if any(d < 3 for d in deg):
+                    return
+                loops = [0] * v
+                triples = []
+                for (a, b), m in zip(cells, counts):
+                    if a == b:
+                        loops[a] += m
+                    elif m:
+                        triples.append((a, b, m))
+                residue = Multigraph(v, tuple(triples))
+                if not residue.is_connected():
+                    return
+                key = canonical_form(residue, colors=loops)
+                if key not in found:
+                    slots = []
+                    for cell, m in zip(cells, counts):
+                        slots.extend([cell] * m)
+                    found[key] = Skeleton(v, tuple(slots))
+                return
+            if idx == len(cells):
+                return
+            if sum(max(0, 3 - d) for d in deg) > 2 * remaining:
+                return
+            i, j = cells[idx]
+            if any(deg[x] < 3 for x in range(i)):
+                return
+            gain = 2 if i == j else 1
+            for m in range(remaining + 1):
+                counts[idx] = m
+                deg[i] += gain * m
+                if i != j:
+                    deg[j] += m
+                place(idx + 1, remaining - m)
+                deg[i] -= gain * m
+                if i != j:
+                    deg[j] -= m
+            counts[idx] = 0
+
+        place(0, e)
+    return tuple(sorted(found.values(), key=lambda s: (s.vertex_count, s.slots)))
+
+
+def reference_witnesses(n: int, budget: int) -> list[Multigraph]:
+    """The witnesses of verify_no_smaller_graph(n, budget) as they were
+    found before the orbit-least filter: the cycle when it fits, then every
+    hit of every sweep built and kept when its canonical form is new."""
+    witnesses = []
+    seen = set()
+    if n < budget:
+        witnesses.append(cycle_graph(n))
+        seen.add(canonical_form(witnesses[0]))
+    c = 2
+    while True:
+        level_min = None
+        for skel in enumerate_skeletons(c):
+            sweep = _Sweep(skel)
+            mt = sweep.min_tau()
+            level_min = mt if level_min is None else min(level_min, mt)
+            if mt > n or sweep.min_vertices() >= budget:
+                continue
+            for vec in sweep.find_assignments(n, budget)[1]:
+                g = sweep.build(vec)
+                key = canonical_form(g)
+                if key not in seen:
+                    seen.add(key)
+                    witnesses.append(g)
+        if level_min > n:
+            return witnesses
+        c += 1

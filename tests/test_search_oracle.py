@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
@@ -27,7 +27,12 @@ from treeforge.search_oracle import (
 )
 from treeforge.tree_count import tau_matrix
 
-from oracles import brute_isomorphic, brute_subdivision_sweep
+from oracles import (
+    brute_isomorphic,
+    brute_subdivision_sweep,
+    reference_skeletons,
+    reference_witnesses,
+)
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
@@ -234,6 +239,35 @@ class TestSkeletons:
             for a, b in combinations(graphs, 2):
                 assert not nx.is_isomorphic(a, b)
 
+    @pytest.mark.parametrize("c", (2, 3, 4))
+    def test_equal_to_unpruned_reference(self, c):
+        # same Skeleton tuples in the same order as without the
+        # transposition prune
+        assert enumerate_skeletons(c) == reference_skeletons(c)
+
+    def test_level_five(self):
+        # 1,076 classes, the count of the unpruned enumerator (which takes
+        # minutes); pairwise non-isomorphic under networkx's matcher,
+        # compared within buckets of equal vertex count and degree/loop
+        # profile
+        skels = enumerate_skeletons(5)
+        assert len(skels) == 1076
+        buckets = {}
+        for s in skels:
+            assert s.cyclomatic == 5
+            assert all(s.degree(v) >= 3 for v in range(s.vertex_count))
+            profile = sorted(
+                (s.degree(v), s.slots.count((v, v))) for v in range(s.vertex_count)
+            )
+            h = nx.MultiGraph()
+            h.add_nodes_from(range(s.vertex_count))
+            h.add_edges_from(s.slots)
+            buckets.setdefault((s.vertex_count, tuple(profile)), []).append(h)
+        for graphs in buckets.values():
+            for a, b in combinations(graphs, 2):
+                assert not nx.is_isomorphic(a, b)
+        assert min(_Sweep(s).min_tau() for s in skels) == 75
+
     def test_cached_per_cyclomatic_number(self):
         assert enumerate_skeletons(3) is enumerate_skeletons(3)
         assert isinstance(enumerate_skeletons(3), tuple)
@@ -325,6 +359,39 @@ class TestSweep:
             assert any(
                 any(vec[i] > 1 for i in bridges) for vec in hits
             ), (skel.describe(), n, budget)
+
+
+class TestOrbits:
+    THETA = Skeleton(2, ((0, 1), (0, 1), (0, 1)))
+    K4 = Skeleton(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    TRIPOD = Skeleton(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+
+    def test_automorphism_counts(self):
+        assert len(_Sweep(self.THETA).automorphisms()) == 2
+        assert len(_Sweep(self.K4).automorphisms()) == 24
+        assert len(_Sweep(self.TRIPOD).automorphisms()) == 6
+
+    def test_automorphisms_against_all_permutations(self):
+        for c in (2, 3, 4):
+            for s in enumerate_skeletons(c):
+                cells = sorted(s.slots)
+                want = [
+                    perm
+                    for perm in permutations(range(s.vertex_count))
+                    if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in cells) == cells
+                ]
+                assert _Sweep(s).automorphisms() == want, s.describe()
+
+    @pytest.mark.parametrize("n", range(12, 40))
+    def test_witnesses_equal_canonical_dedup(self, n):
+        # the same witness edge lists, in order, as building every hit and
+        # keeping each new canonical form
+        for budget in (n, n + 6):
+            got = verify_no_smaller_graph(n, budget).witnesses
+            assert got == reference_witnesses(n, budget), (n, budget)
+
+    def test_36_36_witness_count(self):
+        assert len(verify_no_smaller_graph(36, 36).witnesses) == 3094
 
 
 class TestVerifier:

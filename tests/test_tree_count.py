@@ -9,6 +9,7 @@ from treeforge.graph_core import (
     contract_edge,
     cycle_graph,
     delete_edge,
+    path_graph,
 )
 from treeforge import tree_count
 from treeforge.tree_count import clear_memo, subdivide, tau_dc, tau_matrix, tau_subdivision
@@ -122,6 +123,26 @@ class TestTauDC:
 
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
+
+    def test_long_path_strips_in_linear_time(self):
+        # one peel over the whole path, not one graph rebuild per leaf
+        assert tau_dc(path_graph(5000)) == 1
+
+    def test_pendant_trees_on_a_cycle(self, rng):
+        # random trees, some edges doubled or tripled, hung off a cycle with
+        # a chord bundle; shuffled labels put the leaves anywhere
+        for _ in range(150):
+            k = rng.randint(3, 6)
+            pairs = [(i, (i + 1) % k, 1) for i in range(k)]
+            if rng.random() < 0.5:
+                pairs.append((0, 2, rng.randint(1, 3)))
+            n = k + rng.randint(1, 8)
+            for v in range(k, n):
+                pairs.append((rng.randrange(v), v, rng.choice((1, 1, 2, 3))))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = Multigraph.from_edges(n, [(perm[u], perm[v], m) for u, v, m in pairs])
+            assert tau_dc(g) == tau_matrix(g)
 
 
 class TestRecurrence:
