@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .constructions import (
-    VariantSpec,
+    TABLE1_ROWS,
     build_variant,
     iter_variant_specs,
     parse_construction,
@@ -33,7 +33,12 @@ from .minimal_builder import (
     check_bounds,
     in_quarter_scope,
 )
-from .search_oracle import alpha_exact, beta_exact, verify_no_smaller_graph
+from .search_oracle import (
+    WITNESS_CEILING,
+    alpha_exact,
+    beta_exact,
+    verify_no_smaller_graph,
+)
 from .tree_count import tau_dc, tau_matrix
 
 #: Largest HI that `idoneal --scan` accepts (the sieve holds one byte per
@@ -219,7 +224,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
 def cmd_fixedpoint(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     budget = args.budget if args.budget is not None else args.n
-    report = verify_no_smaller_graph(args.n, budget)
+    report = verify_no_smaller_graph(args.n, budget, args.max_witnesses)
     outputs = report.to_dict()
     verdict = "proved" if report.proved else "refuted"
     human = (
@@ -267,23 +272,6 @@ def cmd_idoneal(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify suites
-
-TABLE1_ROWS: list[tuple[VariantSpec, int]] = [
-    (VariantSpec("v1", 3, 2, 1, 1, a1=2), 21),
-    (VariantSpec("v2", 3, 2, 1, 1, a1=1, b1=1), 24),
-    (VariantSpec("v1", 4, 2, 1, 1, a1=2), 30),
-    (VariantSpec("v2", 4, 2, 1, 1, a1=1, b1=1), 32),
-    (VariantSpec("v2", 4, 2, 1, 1, a1=2, b1=1), 35),
-    (VariantSpec("v0", 4, 2, 1, 1, a1=1, a2=1), 30),
-    (VariantSpec("v1", 3, 3, 1, 1, a1=2), 29),
-    (VariantSpec("v2", 3, 3, 1, 1, a1=1, b1=1), 35),
-    (VariantSpec("v2", 3, 3, 1, 1, a1=1, b1=2), 36),
-    (VariantSpec("v2", 2, 2, 2, 1, a1=1, b1=1), 24),
-    (VariantSpec("v1", 2, 2, 2, 1, a1=2), 20),
-    (VariantSpec("v1", 3, 2, 2, 1, a1=2), 32),
-    (VariantSpec("v2", 3, 2, 2, 1, a1=1, b1=1), 35),
-    (VariantSpec("v2", 2, 2, 3, 1, a1=1, b1=1), 32),
-]
 
 
 def _verify_table1() -> list[dict]:
@@ -418,6 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("fixedpoint", help="prove no smaller graph reaches n", parents=[common])
     c.add_argument("n", type=int)
     c.add_argument("--budget", type=int, default=None, help="vertex budget (default n)")
+    c.add_argument(
+        "--max-witnesses",
+        type=int,
+        default=WITNESS_CEILING,
+        help=f"stop with exit 2 past this many witness classes (default {WITNESS_CEILING})",
+    )
     c.set_defaults(func=cmd_fixedpoint)
 
     c = sub.add_parser("idoneal", help="representability as ab+ac+bc", parents=[common])

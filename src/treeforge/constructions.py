@@ -281,6 +281,26 @@ def _variants_for(a: int, b: int, c: int, d: int) -> Iterator[VariantSpec]:
                 yield VariantSpec("v2", a, b, c, d, a1=a1, b1=b1)
 
 
+#: The decorated thetas of the paper's Table 1 with their counts; `treeforge
+#: verify table1` checks each against tau_variant and a built graph.
+TABLE1_ROWS: list[tuple[VariantSpec, int]] = [
+    (VariantSpec("v1", 3, 2, 1, 1, a1=2), 21),
+    (VariantSpec("v2", 3, 2, 1, 1, a1=1, b1=1), 24),
+    (VariantSpec("v1", 4, 2, 1, 1, a1=2), 30),
+    (VariantSpec("v2", 4, 2, 1, 1, a1=1, b1=1), 32),
+    (VariantSpec("v2", 4, 2, 1, 1, a1=2, b1=1), 35),
+    (VariantSpec("v0", 4, 2, 1, 1, a1=1, a2=1), 30),
+    (VariantSpec("v1", 3, 3, 1, 1, a1=2), 29),
+    (VariantSpec("v2", 3, 3, 1, 1, a1=1, b1=1), 35),
+    (VariantSpec("v2", 3, 3, 1, 1, a1=1, b1=2), 36),
+    (VariantSpec("v2", 2, 2, 2, 1, a1=1, b1=1), 24),
+    (VariantSpec("v1", 2, 2, 2, 1, a1=2), 20),
+    (VariantSpec("v1", 3, 2, 2, 1, a1=2), 32),
+    (VariantSpec("v2", 3, 2, 2, 1, a1=1, b1=1), 35),
+    (VariantSpec("v2", 2, 2, 3, 1, a1=1, b1=1), 32),
+]
+
+
 def parse_construction(text: str) -> tuple[Multigraph, TreeCount]:
     """Parse the CLI family syntax and return (graph, closed-form count).
 

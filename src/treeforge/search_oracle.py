@@ -36,6 +36,7 @@ arguments that both keep exactly the objects a full canonical dedup keeps.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -59,8 +60,13 @@ BETA_EDGE_CEILING = 12
 #: skeletons in about 1 s; what stays unbounded is the witness list: at
 #: level 5, verify_no_smaller_graph(72, 72) lists 132,244 witness classes
 #: in 21 s and 656 MB (CPython 3.11, 2-vCPU VM). The ceiling stays at 4
-#: until the witness list has a ceiling of its own.
+#: until the effect of WITNESS_CEILING on such runs is measured.
 SKELETON_CEILING = 4
+#: Default for the most witness classes verify_no_smaller_graph lists. The
+#: list grows with the budget: at n = 27, budgets 27, 40, 60 and 80 give
+#: 442, 1,560, 5,524 and 13,388 classes (the last in 2.1 s and 107 MB,
+#: CPython 3.11, 2-vCPU VM); (36, 36) gives 3,094 and (36, 42) 5,094.
+WITNESS_CEILING = 10_000
 
 
 class SearchKind(enum.Enum):
@@ -107,10 +113,32 @@ def _heavy_vertices(g: Multigraph) -> list[list[tuple[int, int, tuple[int, ...]]
     return [[row for row in rows if row[0] >= s] for s in range(n + 1)]
 
 
-@lru_cache(maxsize=128)
-def _level(
-    k: int, tau_cap: int | None, edge_cap: int | None = None
-) -> tuple[tuple[Multigraph, TreeCount], ...]:
+#: Most built levels that _level keeps; the least recently used goes first.
+LEVEL_CACHE_SIZE = 128
+
+Level = tuple[tuple[Multigraph, TreeCount], ...]
+
+# built levels, keyed by (k, tau_cap, edge_cap), least recently used first
+_levels: OrderedDict[tuple[int, int | None, int | None], Level] = OrderedDict()
+
+
+def clear_level_cache() -> None:
+    """Forget every built level, so the next _level call builds cold."""
+    _levels.clear()
+
+
+def _cap_min(a: int | None, b: int | None) -> int | None:
+    """The smaller of two caps, None meaning no cap."""
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
+
+
+def _fits(g: Multigraph, t: TreeCount, tau_cap: int | None, edge_cap: int | None) -> bool:
+    return (tau_cap is None or t <= tau_cap) and (edge_cap is None or g.edge_count <= edge_cap)
+
+
+def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     """Connected simple graph classes on exactly k vertices, with their
     counts. Both restrictions are hereditary under non-cut-vertex deletion
     (the count never grows and edges only disappear), so applying them at
@@ -139,6 +167,29 @@ def _level(
       lists. u is a non-cut vertex of C exactly when S - {u} meets every
       component of G - u, which is tested on bit masks.
 
+    A level under smaller caps is the level under larger caps filtered to
+    the smaller ones, with the same representatives in the same order. Let
+    X be a class that passes the smaller caps. The parent C - v of each of
+    its candidates has a count at most tau(C) and fewer edges, so it
+    passes the smaller caps too: by induction on k, X meets the same
+    candidates, in the same order, under either pair of caps. Neither skip
+    test drops one of them under either pair (|S| * tau(G) <= tau(C), and
+    the max-degree rule does not read the caps), and the caps only test
+    class invariants, so X keeps the same first candidate. Built levels
+    are cached, and a request is served in one of three ways:
+
+    - Filter: a cached level at k whose caps are both at least as large
+      is filtered to the requested caps.
+    - Extend: otherwise the cached level at k that shares the most classes
+      is filtered to the smaller cap of each kind. Those classes are known,
+      with their representatives, so a candidate that passes both smaller
+      caps is dropped after its count and before canonical_form. Only the
+      other classes are built; they are merged with the known ones and
+      sorted.
+    - Build: with nothing cached at k, every class is built.
+
+    So a level does not depend on which levels were built before it.
+
     McKay's full canonical-deletion test would skip more, but it needs a
     canonical labelling of every surviving child, so it saves no
     canonical_form call, and it changes which (G, S) yields each class
@@ -148,10 +199,27 @@ def _level(
         return ()
     if k == 1:
         return ((Multigraph(1, ()), 1),)
+    request = (k, tau_cap, edge_cap)
+    if request in _levels:
+        _levels.move_to_end(request)
+        return _levels[request]
+    # the cached level at k sharing the most classes, a superset first,
+    # filtered to the smaller caps
+    known: Level = ()
+    known_caps: tuple[int | None, int | None] | None = None
+    best = (False, -1)
+    for (j, tc, ec), cached in _levels.items():
+        if j != k:
+            continue
+        caps = (_cap_min(tc, tau_cap), _cap_min(ec, edge_cap))
+        shared = tuple(item for item in cached if _fits(*item, *caps))
+        rank = (caps == (tau_cap, edge_cap), len(shared))
+        if rank > best:
+            best, known, known_caps = rank, shared, caps
     out: dict[bytes, tuple[Multigraph, TreeCount]] = {}
-    base = _level(k - 1, tau_cap, edge_cap)
     old = k - 1
-    for g, tau_g in base:
+    # a cached superset leaves nothing to build
+    for g, tau_g in () if best[0] else _level(old, tau_cap, edge_cap):
         edge_list = list(g.edges)
         heavy = _heavy_vertices(g)
         for bits in range(1, 1 << old):
@@ -173,10 +241,18 @@ def _level(
             t = tau_matrix(cand)  # cheaper than canonicalizing, so filter first
             if tau_cap is not None and t > tau_cap:
                 continue
+            if known_caps is not None and _fits(cand, t, *known_caps):
+                continue  # its class is in known
             key = canonical_form(cand)
             if key not in out:
                 out[key] = (cand, t)
-    return tuple(sorted(out.values(), key=lambda item: (item[0].edge_count, item[0].edges)))
+    level = tuple(
+        sorted(known + tuple(out.values()), key=lambda item: (item[0].edge_count, item[0].edges))
+    )
+    _levels[request] = level
+    if len(_levels) > LEVEL_CACHE_SIZE:
+        _levels.popitem(last=False)
+    return level
 
 
 def enumerate_connected_graphs(
@@ -730,7 +806,9 @@ class FixedPointReport:
         }
 
 
-def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
+def verify_no_smaller_graph(
+    n: int, vertex_budget: int, max_witnesses: int = WITNESS_CEILING
+) -> FixedPointReport:
     """Decide whether some simple graph on fewer than vertex_budget vertices
     has exactly n spanning trees, by exhausting skeleton subdivisions.
 
@@ -738,10 +816,14 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
     is listed. The transcript records each skeleton with its minimal count
     and sweep statistics. Raises GraphError, before enumerating anything
     above it, when the proof needs a level above SKELETON_CEILING; the
-    minimum count at level 4 is 40, so every n <= 39 stops in time.
+    minimum count at level 4 is 40, so every n <= 39 stops in time. Raises
+    GraphError as soon as the list would hold more than max_witnesses
+    classes.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
+    if max_witnesses < 1:
+        raise GraphError("max_witnesses must be >= 1")
     witnesses: list[Multigraph] = []
 
     if 3 <= n < vertex_budget:
@@ -778,6 +860,12 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
                 tried, hits = sweep.find_assignments(n, vertex_budget)
                 audit.assignments_tried = tried
                 for vec in sweep.orbit_least(hits):
+                    if len(witnesses) == max_witnesses:
+                        raise GraphError(
+                            f"witness ceiling exceeded: {max_witnesses + 1} witness "
+                            f"classes so far for n = {n} below budget {vertex_budget}, "
+                            f"above max_witnesses {max_witnesses}"
+                        )
                     g = sweep.build(vec)
                     audit.witnesses.append(g)
                     witnesses.append(g)

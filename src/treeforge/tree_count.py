@@ -242,14 +242,21 @@ def tau_dc(g: Multigraph) -> TreeCount:
 
     Agrees with tau_matrix everywhere. The memo table is per-thread (so
     concurrent callers never contend or deadlock) and keeps the
-    DEFAULT_MEMO_CAP most recently used entries.
+    DEFAULT_MEMO_CAP most recently used entries. The recursion is as deep
+    as the graph is long (a 1000-cycle exceeds Python's default limit);
+    running out of stack raises GraphError.
     """
     n = g.vertex_count
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
-    return _tau_dc_block(g, _memo(), DEFAULT_MEMO_CAP)
+    try:
+        return _tau_dc_block(g, _memo(), DEFAULT_MEMO_CAP)
+    except RecursionError:
+        raise GraphError(
+            f"deletion-contraction recursion too deep on {n} vertices; use the matrix method"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,15 @@ def test_fixedpoint_proved_and_refuted(capsys):
     assert code == 1 and json.loads(out)["outputs"]["proved"] is False
 
 
+def test_fixedpoint_max_witnesses(capsys):
+    # at the ceiling the transcript is the default one
+    code, out, _ = run(capsys, "fixedpoint", "27", "--json")
+    code_at, out_at, _ = run(capsys, "fixedpoint", "27", "--max-witnesses", "442", "--json")
+    doc, doc_at = json.loads(out), json.loads(out_at)
+    assert code == code_at == 1 and len(doc["outputs"]["witnesses"]) == 442
+    assert doc["outputs"] == doc_at["outputs"]
+
+
 def test_idoneal_commands(capsys):
     code, out, _ = run(capsys, "idoneal", "11", "--json")
     doc = json.loads(out)
@@ -189,6 +198,8 @@ def test_idoneal_commands(capsys):
         ("alpha", "25", "--max-vertices", "12"),
         ("beta", "25", "--max-edges", "13"),
         ("fixedpoint", "40"),
+        ("fixedpoint", "27", "--max-witnesses", "441"),
+        ("count", "--spec", "bouquet:1000", "--method", "dc"),
     ],
     ids=" ".join,
 )

@@ -5,7 +5,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from treeforge import search_oracle
 from treeforge.graph_core import (
+    GraphError,
     Multigraph,
     are_isomorphic,
     canonical_form,
@@ -15,12 +17,16 @@ from treeforge.graph_core import (
     is_two_edge_connected,
 )
 from treeforge.search_oracle import (
+    LEVEL_CACHE_SIZE,
+    SKELETON_CEILING,
+    WITNESS_CEILING,
     SearchKind,
     Skeleton,
     _Sweep,
     _level,
     alpha_exact,
     beta_exact,
+    clear_level_cache,
     enumerate_connected_graphs,
     enumerate_skeletons,
     verify_no_smaller_graph,
@@ -80,6 +86,54 @@ LEVEL_CASES = (
 def test_level_equals_reference(k, tau_cap, edge_cap):
     # same classes, same representative edge lists, same order
     assert _level(k, tau_cap, edge_cap) == reference_level(k, tau_cap, edge_cap)
+
+
+def _levels_up_to(top, tau_cap, edge_cap=None):
+    return [(k, tau_cap, edge_cap) for k in range(1, top + 1)]
+
+
+TIERS = {t: _levels_up_to(7, t) for t in (64, 128, 256)}
+EDGE_CAPS = {e: _levels_up_to(e, 64, e) for e in range(4, 10)}
+ALPHA = _levels_up_to(7, 128)
+BETA = EDGE_CAPS[5] + EDGE_CAPS[7] + EDGE_CAPS[9] + _levels_up_to(6, 256, 6)
+BUILD_ORDERS = {
+    "tiers up": TIERS[64] + TIERS[128] + TIERS[256],
+    "tiers down": TIERS[256] + TIERS[128] + TIERS[64],
+    "edge caps up": [key for e in range(4, 10) for key in EDGE_CAPS[e]],
+    "edge caps down": [key for e in range(9, 3, -1) for key in EDGE_CAPS[e]],
+    "alpha then beta": ALPHA + BETA,
+    "beta then alpha": BETA + ALPHA,
+}
+
+
+@lru_cache(maxsize=None)
+def cold_level(k, tau_cap, edge_cap):
+    clear_level_cache()
+    return _level(k, tau_cap, edge_cap)
+
+
+@pytest.mark.parametrize("order", BUILD_ORDERS)
+def test_level_independent_of_build_order(order):
+    # a level filtered from, or extended from, whatever is cached equals
+    # the level built from scratch: same tuples in the same order
+    clear_level_cache()
+    built = [(key, _level(*key)) for key in BUILD_ORDERS[order]]
+    for key, level in built:
+        assert level == reference_level(*key), key
+        assert level == cold_level(*key), key
+    clear_level_cache()
+
+
+def test_level_cache_is_bounded():
+    clear_level_cache()
+    keys = [(k, cap, None) for cap in range(1, 70) for k in (2, 3, 4)]
+    for key in keys:
+        assert _level(*key) == reference_level(*key), key
+    assert len(search_oracle._levels) == LEVEL_CACHE_SIZE
+    # evicted levels are rebuilt the same
+    for key in keys[:9]:
+        assert _level(*key) == reference_level(*key), key
+    clear_level_cache()
 
 
 class TestEnumeration:
@@ -392,6 +446,31 @@ class TestOrbits:
 
     def test_36_36_witness_count(self):
         assert len(verify_no_smaller_graph(36, 36).witnesses) == 3094
+
+
+class TestWitnessCeiling:
+    def test_default_lists_every_tested_list(self):
+        # (36, 42) lists 5,094 classes, the most of any test
+        assert WITNESS_CEILING > 5094
+        assert SKELETON_CEILING == 4
+
+    def test_at_the_ceiling_the_transcript_is_unchanged(self):
+        # (27, 27) lists 442 classes
+        full = verify_no_smaller_graph(27, 27).to_dict()
+        assert verify_no_smaller_graph(27, 27, max_witnesses=442).to_dict() == full
+
+    def test_past_the_ceiling_raises_with_the_count(self):
+        with pytest.raises(GraphError, match="442 witness classes so far"):
+            verify_no_smaller_graph(27, 27, max_witnesses=441)
+
+    def test_default_ceiling_stops_a_growing_list(self):
+        # (27, 80) has 13,388 classes
+        with pytest.raises(GraphError, match=f"{WITNESS_CEILING + 1} witness classes"):
+            verify_no_smaller_graph(27, 80)
+
+    def test_rejects_a_ceiling_below_one(self):
+        with pytest.raises(GraphError):
+            verify_no_smaller_graph(13, 13, max_witnesses=0)
 
 
 class TestVerifier:
