@@ -9,6 +9,7 @@ compute the extremal functions alpha(n) (fewest vertices) and beta(n)
 from .graph_core import (
     GraphError,
     Multigraph,
+    Skeleton,
     add_path,
     are_isomorphic,
     canonical_form,
@@ -20,7 +21,7 @@ from .graph_core import (
     is_two_edge_connected,
     path_graph,
 )
-from .tree_count import TreeCount, tau_dc, tau_matrix, tau_subdivision, subdivide
+from .tree_count import TreeCount, tau_dc, tau_matrix, tau_subdivision
 from .constructions import (
     BouquetSpec,
     ThetaSpec,
@@ -57,7 +58,6 @@ from .minimal_builder import (
 from .search_oracle import (
     SearchKind,
     SearchResult,
-    Skeleton,
     alpha_exact,
     beta_exact,
     enumerate_connected_graphs,

@@ -187,37 +187,27 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_alpha(args: argparse.Namespace) -> int:
+#: command -> (search, the argument that bounds it)
+_SEARCHES = {"alpha": (alpha_exact, "max_vertices"), "beta": (beta_exact, "max_edges")}
+
+
+def cmd_search(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    res = alpha_exact(args.n, args.max_vertices)
+    search, budget_name = _SEARCHES[args.command]
+    budget = getattr(args, budget_name)
+    res = search(args.n, budget)
     outputs = {
         "value": res.value,
         "witness": _witness_dict(res.witness) if res.witness else None,
         "search_space": res.search_space,
     }
     human = (
-        f"alpha({args.n}) = {res.value}"
+        f"{args.command}({args.n}) = {res.value}"
         if res.value is not None
-        else f"alpha({args.n}) > {args.max_vertices} (search space exhausted)"
+        else f"{args.command}({args.n}) > {budget} (search space exhausted)"
     )
-    _emit(_report("alpha", {"n": args.n, "max_vertices": args.max_vertices}, outputs, started), args.json, human)
-    return 0
-
-
-def cmd_beta(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    res = beta_exact(args.n, args.max_edges)
-    outputs = {
-        "value": res.value,
-        "witness": _witness_dict(res.witness) if res.witness else None,
-        "search_space": res.search_space,
-    }
-    human = (
-        f"beta({args.n}) = {res.value}"
-        if res.value is not None
-        else f"beta({args.n}) > {args.max_edges} (search space exhausted)"
-    )
-    _emit(_report("beta", {"n": args.n, "max_edges": args.max_edges}, outputs, started), args.json, human)
+    inputs = {"n": args.n, budget_name: budget}
+    _emit(_report(args.command, inputs, outputs, started), args.json, human)
     return 0
 
 
@@ -396,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("alpha", help="exact minimum vertex count by search", parents=[common])
     c.add_argument("n", type=int)
     c.add_argument("--max-vertices", type=int, default=8)
-    c.set_defaults(func=cmd_alpha)
+    c.set_defaults(func=cmd_search)
 
     c = sub.add_parser("beta", help="exact minimum edge count by search", parents=[common])
     c.add_argument("n", type=int)
     c.add_argument("--max-edges", type=int, default=9)
-    c.set_defaults(func=cmd_beta)
+    c.set_defaults(func=cmd_search)
 
     c = sub.add_parser("fixedpoint", help="prove no smaller graph reaches n", parents=[common])
     c.add_argument("n", type=int)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graph_core import GraphError, Multigraph, add_path, subdivision
+from .graph_core import GraphError, Multigraph, Skeleton, add_path, subdivision
 from .tree_count import TreeCount
 
 
@@ -183,7 +183,7 @@ def tau_generalized_theta(lengths: Sequence[int]) -> TreeCount:
 
 def build_theta(spec: ThetaSpec) -> Multigraph:
     """Simple theta graph on a+b+c-1 vertices with a+b+c edges."""
-    return subdivision(2, [(0, 1)] * 3, spec.lengths)
+    return subdivision(Skeleton(2, ((0, 1),) * 3), spec.lengths)
 
 
 def build_cycle_glue(a: int, b: int) -> Multigraph:
@@ -195,7 +195,8 @@ def build_cycle_glue(a: int, b: int) -> Multigraph:
 
 def build_bouquet(spec: BouquetSpec) -> Multigraph:
     """Cycles of the given lengths all identified at vertex 0."""
-    return subdivision(1, [(0, 0)] * len(spec.cycle_lengths), spec.cycle_lengths)
+    lengths = spec.cycle_lengths
+    return subdivision(Skeleton(1, ((0, 0),) * len(lengths)), lengths)
 
 
 def tau_bouquet(spec: BouquetSpec) -> TreeCount:
@@ -213,7 +214,7 @@ def build_generalized_theta(lengths: Sequence[int]) -> Multigraph:
         raise GraphError("path lengths must be positive")
     if sum(1 for l in lengths if l == 1) > 1:
         raise GraphError("not simple: at most one path may have length 1")
-    return subdivision(2, [(0, 1)] * len(lengths), lengths)
+    return subdivision(Skeleton(2, ((0, 1),) * len(lengths)), lengths)
 
 
 def build_variant(spec: VariantSpec) -> Multigraph:

@@ -5,7 +5,8 @@ and subdivision, canonical labeling, and blocks and bridges.
 Vertices are always labeled 0..n-1. Parallel edges are stored as integer
 multiplicities on unordered pairs. Loops are never stored: contraction
 discards them on the spot, which keeps the spanning-tree count well defined
-without special cases.
+without special cases. A Skeleton lists its edges one slot at a time, loops
+included, and subdivision turns each slot into a path.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ class Multigraph:
         """Total edge count, parallel copies included."""
         return sum(m for _, _, m in self.edges)
 
-    @property
-    def pair_count(self) -> int:
-        """Number of adjacent vertex pairs (parallel bundles count once)."""
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return sum(m for a, b, m in self.edges if a == v or b == v)
 
@@ -86,13 +82,6 @@ class Multigraph:
             adj[u][v] = m
             adj[v][u] = m
         return adj
-
-    def slots(self) -> list[tuple[int, int, int]]:
-        """Individual edge slots (u, v, copy_index), parallel copies expanded."""
-        out = []
-        for u, v, m in self.edges:
-            out.extend((u, v, i) for i in range(m))
-        return out
 
     def is_connected(self) -> bool:
         n = self.vertex_count
@@ -208,19 +197,56 @@ def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
     return Multigraph.from_edges(n + k - 1, [*g.edges, *_chain(u, v, n, k)])
 
 
-def subdivision(
-    vertex_count: int, slots: Sequence[tuple[int, int]], lengths: Sequence[int]
-) -> Multigraph:
-    """The graph on vertices 0..vertex_count-1 in which slot i, a pair
-    (u, v) (u == v is a loop), becomes a path of lengths[i] edges.
+@dataclass(frozen=True)
+class Skeleton:
+    """A multigraph given slot by slot, each slot a pair (u, v) with
+    0 <= u <= v < vertex_count; u == v is a loop. A simple graph of minimum
+    degree 2 that is not a cycle is a subdivision of exactly one skeleton
+    of minimum degree 3 (suppress the degree-2 vertices)."""
+
+    vertex_count: int
+    slots: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for u, v in self.slots:
+            if not 0 <= u <= v < self.vertex_count:
+                raise GraphError(
+                    f"slot ({u},{v}) needs 0 <= u <= v < {self.vertex_count}"
+                )
+
+    @property
+    def cyclomatic(self) -> int:
+        return len(self.slots) - self.vertex_count + 1
+
+    def degree(self, v: int) -> int:
+        return sum((u == v) + (w == v) for u, w in self.slots)
+
+    def describe(self) -> str:
+        return f"{self.vertex_count} vertices, slots {list(self.slots)}"
+
+
+def _check_lengths(skeleton: Skeleton, lengths: Sequence[int]) -> None:
+    """Raise GraphError unless there is one length >= 1 per slot."""
+    if len(lengths) != len(skeleton.slots):
+        raise GraphError(
+            f"got {len(lengths)} lengths for {len(skeleton.slots)} edge slots"
+        )
+    if any(l < 1 for l in lengths):
+        raise GraphError("subdivision lengths must be >= 1")
+
+
+def subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> Multigraph:
+    """The graph on vertices 0..vertex_count-1 of the skeleton in which
+    slot i becomes a path of lengths[i] edges.
 
     Interior path vertices are numbered from vertex_count on, slot by slot
     in order, so the labeling of every subdivision is reproducible. A loop
     of length 1 is rejected, since Multigraph stores no loops.
     """
+    _check_lengths(skeleton, lengths)
     pairs: list[tuple[int, int]] = []
-    nxt = vertex_count
-    for (u, v), k in zip(slots, lengths):
+    nxt = skeleton.vertex_count
+    for (u, v), k in zip(skeleton.slots, lengths):
         pairs += _chain(u, v, nxt, k)
         nxt += k - 1
     return Multigraph.from_edges(nxt, pairs)

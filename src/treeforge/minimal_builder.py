@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .constructions import (
     BouquetSpec,
@@ -104,20 +103,8 @@ class BoundReport:
     exception_class: ExceptionClass
 
 
-@lru_cache(maxsize=None)
-def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """(p, q) with p <= q, p*q = n, both >= 3."""
-    out = []
-    p = 3
-    while p * p <= n:
-        if n % p == 0 and n // p >= 3:
-            out.append((p, n // p))
-        p += 1
-    return tuple(out)
-
-
-def _multi_factorizations(n: int, minimum: int = 3) -> list[tuple[int, ...]]:
-    """Nondecreasing factorizations of n into parts >= minimum."""
+def _multi_factorizations(n: int) -> list[tuple[int, ...]]:
+    """Nondecreasing factorizations of n into at least two parts >= 3."""
     out: list[tuple[int, ...]] = []
 
     def rec(rest: int, lo: int, acc: list[int]) -> None:
@@ -131,9 +118,8 @@ def _multi_factorizations(n: int, minimum: int = 3) -> list[tuple[int, ...]]:
                 acc.pop()
             d += 1
 
-    if n >= minimum * minimum:
-        rec(n, minimum, [])
-    return [f for f in out if f[-1] >= minimum]
+    rec(n, 3, [])
+    return out
 
 
 def _candidates(n: int):
@@ -143,12 +129,13 @@ def _candidates(n: int):
         yield a + b + c, a + b + c - 1, Strategy.THETA, lambda a=a, b=b, c=c: build_theta(
             ThetaSpec(a, b, c)
         )
-    for p, q in _factor_pairs(n):
-        yield p + q, p + q - 1, Strategy.CYCLE_GLUE, lambda p=p, q=q: build_cycle_glue(p, q)
     for parts in _multi_factorizations(n):
-        if len(parts) >= 3:
-            edges = sum(parts)
-            vertices = edges - len(parts) + 1
+        edges = sum(parts)
+        vertices = edges - len(parts) + 1
+        if len(parts) == 2:
+            p, q = parts
+            yield edges, vertices, Strategy.CYCLE_GLUE, lambda p=p, q=q: build_cycle_glue(p, q)
+        else:
             yield edges, vertices, Strategy.BOUQUET, lambda parts=parts: build_bouquet(
                 BouquetSpec(parts)
             )

@@ -40,11 +40,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graph_core import (
     GraphError,
     Multigraph,
+    Skeleton,
     canonical_form,
     cycle_graph,
     subdivision,
@@ -255,24 +256,19 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     return level
 
 
-def enumerate_connected_graphs(
-    max_vertices: int,
-    predicate: Callable[[Multigraph], bool] | None = None,
-    ceiling: int = DEFAULT_VERTEX_CEILING,
-) -> Iterator[Multigraph]:
+def enumerate_connected_graphs(max_vertices: int) -> Iterator[Multigraph]:
     """One representative per isomorphism class of connected simple graphs
     on exactly max_vertices vertices, in deterministic order.
 
-    ``predicate`` is applied as a final filter. The ceiling guards against
-    accidentally launching an astronomically large enumeration.
+    DEFAULT_VERTEX_CEILING guards against accidentally launching an
+    astronomically large enumeration.
     """
-    if max_vertices > ceiling:
+    if max_vertices > DEFAULT_VERTEX_CEILING:
         raise GraphError(
-            f"enumeration ceiling exceeded: {max_vertices} > {ceiling}"
+            f"enumeration ceiling exceeded: {max_vertices} > {DEFAULT_VERTEX_CEILING}"
         )
     for g, _ in _level(max_vertices, None):
-        if predicate is None or predicate(g):
-            yield g
+        yield g
 
 
 def _cap_tier(n: int) -> int:
@@ -358,26 +354,6 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
 
 # ---------------------------------------------------------------------------
 # skeletons: connected multigraphs with loops, min degree >= 3
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Slots are (u, v) pairs with u <= v; u == v is a loop. A simple graph
-    of minimum degree 2 that is not a cycle is a subdivision of exactly one
-    skeleton (suppress the degree-2 vertices)."""
-
-    vertex_count: int
-    slots: tuple[tuple[int, int], ...]
-
-    @property
-    def cyclomatic(self) -> int:
-        return len(self.slots) - self.vertex_count + 1
-
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self.slots)
-
-    def describe(self) -> str:
-        return f"{self.vertex_count} vertices, slots {list(self.slots)}"
 
 
 def _transposition_sources(
@@ -544,7 +520,7 @@ class _Sweep:
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
         self.slots = list(skeleton.slots)
-        self.terms = tree_terms(skeleton.vertex_count, self.slots)
+        self.terms = tree_terms(skeleton)
         # cell -> indices of its slots
         self.cells: dict[tuple[int, int], list[int]] = {}
         for i, cell in enumerate(self.slots):
@@ -588,7 +564,7 @@ class _Sweep:
         return self.skeleton.vertex_count + sum(l - 1 for l in self.mins)
 
     def build(self, lengths: Sequence[int]) -> Multigraph:
-        return subdivision(self.skeleton.vertex_count, self.slots, lengths)
+        return subdivision(self.skeleton, lengths)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Vertex permutations of the skeleton that keep the slot count of

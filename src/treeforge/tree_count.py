@@ -24,10 +24,10 @@ tau(delete all copies).
 tau_subdivision evaluates the count for a skeleton whose edges are blown
 up into paths: sum over spanning trees T of the skeleton of the product of
 the lengths of the slots outside T. The terms come from tree_terms, the one
-listing of spanning trees over slot pairs (loops allowed, and in every
-term), which the skeleton sweep of search_oracle shares; eval_terms sums
-their products. Both take a skeleton given as a vertex count and a list of
-(u, v) slot pairs, the form graph_core.subdivision builds from.
+listing of spanning trees over slots (loops allowed, and in every term),
+which the skeleton sweep of search_oracle shares; eval_terms sums their
+products. Both take a graph_core.Skeleton, the type graph_core.subdivision
+builds from, with lengths given as a sequence in slot order.
 
 The two general-purpose methods are independent implementations and are
 cross-checked against each other in the test suite.
@@ -39,16 +39,17 @@ import threading
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .graph_core import (
     GraphError,
     Multigraph,
+    Skeleton,
+    _check_lengths,
     _find,
     biconnected_components,
     canonical_form,
     contract_edge,
-    subdivision,
 )
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
@@ -263,38 +264,17 @@ def tau_dc(g: Multigraph) -> TreeCount:
 # subdivisions
 
 
-def _slot_lengths(
-    skeleton: Multigraph, lengths: Mapping[tuple[int, int, int], int] | Sequence[int]
-) -> list[int]:
-    slots = skeleton.slots()
-    if isinstance(lengths, Mapping):
-        out = []
-        for slot in slots:
-            if slot not in lengths:
-                raise GraphError(f"missing length for edge slot {slot}")
-            out.append(lengths[slot])
-    else:
-        out = list(lengths)
-        if len(out) != len(slots):
-            raise GraphError(
-                f"got {len(out)} lengths for {len(slots)} edge slots"
-            )
-    if any(l < 1 for l in out):
-        raise GraphError("subdivision lengths must be >= 1")
-    return out
-
-
-def tree_terms(
-    vertex_count: int, slots: Sequence[tuple[int, int]]
-) -> list[tuple[int, ...]]:
-    """One term per spanning tree of the skeleton with these slots: the
-    ascending indices of the slots outside the tree.
+def tree_terms(skeleton: Skeleton) -> list[tuple[int, ...]]:
+    """One term per spanning tree of the skeleton: the ascending indices of
+    the slots outside the tree.
 
     A loop (u == v) lies in no tree, so it is in every term. Trees are
     listed in the order of their slot sets, as (vertex_count - 1)-subsets
     of the loopless slots in lexicographic order, each kept when it joins
-    all vertices without a cycle.
+    all vertices without a cycle. A disconnected skeleton has no term.
     """
+    slots = skeleton.slots
+    vertex_count = skeleton.vertex_count
     edge_idx = [i for i, (u, v) in enumerate(slots) if u != v]
     terms = []
     for tree in combinations(edge_idx, vertex_count - 1):
@@ -322,30 +302,16 @@ def eval_terms(terms: Sequence[Sequence[int]], lengths: Sequence[int]) -> TreeCo
     return total
 
 
-def _slot_pairs(skeleton: Multigraph) -> list[tuple[int, int]]:
-    return [(u, v) for u, v, _ in skeleton.slots()]
-
-
-def tau_subdivision(
-    skeleton: Multigraph,
-    lengths: Mapping[tuple[int, int, int], int] | Sequence[int],
-) -> TreeCount:
+def tau_subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> TreeCount:
     """Spanning trees of the graph where slot i becomes a path of lengths[i].
 
     Equal to sum over spanning trees T of the skeleton of the product of
     lengths of the slots outside T: each tree of the subdivision omits
-    exactly one unit edge from the path of every non-tree slot.
+    exactly one unit edge from the path of every non-tree slot. Only a
+    disconnected skeleton has no spanning tree, and it is rejected.
     """
-    if not skeleton.is_connected():
+    _check_lengths(skeleton, lengths)
+    terms = tree_terms(skeleton)
+    if not terms:
         raise GraphError("skeleton must be connected")
-    ls = _slot_lengths(skeleton, lengths)
-    return eval_terms(tree_terms(skeleton.vertex_count, _slot_pairs(skeleton)), ls)
-
-
-def subdivide(
-    skeleton: Multigraph,
-    lengths: Mapping[tuple[int, int, int], int] | Sequence[int],
-) -> Multigraph:
-    """Explicitly build the subdivision (slot i replaced by a path)."""
-    ls = _slot_lengths(skeleton, lengths)
-    return subdivision(skeleton.vertex_count, _slot_pairs(skeleton), ls)
+    return eval_terms(terms, lengths)

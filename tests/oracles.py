@@ -23,7 +23,7 @@ def brute_tau(g: Multigraph) -> int:
     n = g.vertex_count
     if n == 1:
         return 1
-    slots = g.slots()
+    slots = [(u, v) for u, v, m in g.edges for _ in range(m)]
     count = 0
     for subset in combinations(range(len(slots)), n - 1):
         parent = list(range(n))
@@ -36,7 +36,7 @@ def brute_tau(g: Multigraph) -> int:
 
         ok = True
         for i in subset:
-            u, v, _ = slots[i]
+            u, v = slots[i]
             ru, rv = find(u), find(v)
             if ru == rv:
                 ok = False
@@ -180,6 +180,11 @@ def random_connected_multigraph(
         if u != v:
             pairs.append((u, v, rng.randint(1, max_mult)))
     return Multigraph.from_edges(n, pairs)
+
+
+def skeleton_of(g: Multigraph) -> Skeleton:
+    """The skeleton with one slot per edge copy of g, in edge order."""
+    return Skeleton(g.vertex_count, tuple((u, v) for u, v, m in g.edges for _ in range(m)))
 
 
 def random_simple_connected(rng: random.Random, max_vertices: int = 8) -> Multigraph:

@@ -2,19 +2,26 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from treeforge.constructions import BouquetSpec, tau_bouquet, tau_generalized_theta
 from treeforge.graph_core import (
+    GraphError,
     Multigraph,
+    Skeleton,
     add_path,
     complete_graph,
     contract_edge,
     cycle_graph,
     delete_edge,
     path_graph,
+    subdivision,
 )
 from treeforge import tree_count
-from treeforge.tree_count import clear_memo, subdivide, tau_dc, tau_matrix, tau_subdivision
+from treeforge.search_oracle import _Sweep, enumerate_skeletons
+from treeforge.tree_count import clear_memo, tau_dc, tau_matrix, tau_subdivision
 
-from oracles import brute_tau, fib, random_connected_multigraph
+from oracles import brute_tau, fib, random_connected_multigraph, skeleton_of
+
+THETA = Skeleton(2, ((0, 1),) * 3)
 
 
 def square_of_cycle(n):
@@ -82,13 +89,12 @@ class TestTauMatrix:
         # near-linear elimination: these take tens of seconds with a
         # quadratic pivot scan
         assert tau_matrix(cycle_graph(20000)) == 20000
-        theta = subdivide(Multigraph.from_edges(2, [(0, 1, 3)]), [3000, 3000, 3000])
+        theta = subdivision(THETA, [3000, 3000, 3000])
         assert tau_matrix(theta) == 3 * 3000**2
 
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
-        sk = Multigraph.from_edges(2, [(0, 1, 3)])
-        g = subdivide(sk, [60, 70, 81])
+        g = subdivision(THETA, [60, 70, 81])
         assert g.vertex_count == 2 + 59 + 69 + 80
         assert tau_matrix(g) == 60 * 70 + 60 * 81 + 70 * 81
 
@@ -199,34 +205,67 @@ def test_block_multiplicativity(rng):
 
 class TestTauSubdivision:
     def test_doubled_edge_is_cycle(self):
-        sk = Multigraph.from_edges(2, [(0, 1, 2)])
+        sk = Skeleton(2, ((0, 1),) * 2)
         for a, b in [(1, 2), (3, 4), (5, 5)]:
             assert tau_subdivision(sk, [a, b]) == a + b
 
     def test_tripled_edge_is_theta(self):
-        sk = Multigraph.from_edges(2, [(0, 1, 3)])
         for a, b, c in [(1, 2, 2), (2, 3, 4), (3, 3, 28)]:
-            assert tau_subdivision(sk, [a, b, c]) == a * b + a * c + b * c
+            assert tau_subdivision(THETA, [a, b, c]) == a * b + a * c + b * c
 
     def test_k4_all_lengths_two(self):
-        k4 = complete_graph(4)
+        k4 = skeleton_of(complete_graph(4))
         lengths = [2] * 6
-        assert tau_subdivision(k4, lengths) == tau_matrix(subdivide(k4, lengths))
+        assert tau_subdivision(k4, lengths) == tau_matrix(subdivision(k4, lengths))
 
     def test_matches_explicit_subdivision(self, rng):
         for _ in range(300):
-            sk = random_connected_multigraph(rng, max_vertices=5, extra_edges=3, max_mult=2)
-            lengths = [rng.randint(1, 4) for _ in sk.slots()]
-            assert tau_subdivision(sk, lengths) == tau_matrix(subdivide(sk, lengths))
+            sk = skeleton_of(
+                random_connected_multigraph(rng, max_vertices=5, extra_edges=3, max_mult=2)
+            )
+            lengths = [rng.randint(1, 4) for _ in sk.slots]
+            assert tau_subdivision(sk, lengths) == tau_matrix(subdivision(sk, lengths))
 
-    def test_lengths_by_slot_mapping(self):
-        sk = Multigraph.from_edges(2, [(0, 1, 2)])
-        assert tau_subdivision(sk, {(0, 1, 0): 2, (0, 1, 1): 3}) == 5
+    def test_loop_skeletons_are_bouquets(self):
+        for lengths in [(3,), (3, 4), (3, 4, 5), (5, 3, 7, 4)]:
+            sk = Skeleton(1, ((0, 0),) * len(lengths))
+            expected = tau_bouquet(BouquetSpec(lengths))
+            assert tau_subdivision(sk, lengths) == expected
+            assert tau_matrix(subdivision(sk, lengths)) == expected
 
-    def test_missing_slot_errors(self):
-        sk = Multigraph.from_edges(2, [(0, 1, 2)])
-        with pytest.raises(Exception, match="missing length"):
-            tau_subdivision(sk, {(0, 1, 0): 2})
+    def test_parallel_slots_are_generalized_thetas(self):
+        for lengths in [(1, 2), (2, 3, 4), (1, 2, 3, 4), (2, 2, 5, 3, 7)]:
+            sk = Skeleton(2, ((0, 1),) * len(lengths))
+            assert tau_subdivision(sk, lengths) == tau_generalized_theta(lengths)
+
+    def test_enumerated_skeletons_match_matrix(self, rng):
+        # every skeleton of levels 2-4, at admissible (simple) lengths
+        for c in (2, 3, 4):
+            for sk in enumerate_skeletons(c):
+                sweep = _Sweep(sk)
+                lengths = [l + rng.randint(0, 3) for l in sweep.min_lengths()]
+                assert tau_subdivision(sk, lengths) == sweep.tau(lengths)
+                assert tau_subdivision(sk, lengths) == tau_matrix(subdivision(sk, lengths))
+
+    def test_wrong_length_count_errors(self):
+        with pytest.raises(GraphError, match="2 lengths for 3 edge slots"):
+            tau_subdivision(THETA, [2, 3])
+        with pytest.raises(GraphError, match="2 lengths for 3 edge slots"):
+            subdivision(THETA, [2, 3])
+
+    def test_short_length_errors(self):
+        with pytest.raises(GraphError, match=">= 1"):
+            tau_subdivision(THETA, [2, 0, 3])
+
+    def test_disconnected_skeleton_errors(self):
+        sk = Skeleton(3, ((0, 1), (0, 1), (2, 2)))
+        with pytest.raises(GraphError, match="connected"):
+            tau_subdivision(sk, [2, 3, 3])
+
+    def test_bad_slots_rejected(self):
+        for slots in [((1, 0),), ((0, 2),), ((-1, 0),), ((0, 1), (2, 1))]:
+            with pytest.raises(GraphError, match="slot"):
+                Skeleton(2, slots)
 
 
 @pytest.mark.slow
