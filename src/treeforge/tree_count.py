@@ -4,16 +4,30 @@ tau_matrix evaluates the Kirchhoff cofactor: delete row/column 0 of the
 Laplacian and take the determinant. The elimination is fraction-free
 (Bareiss), so every intermediate value is an integer minor of the original
 matrix and the result is exact at any size. Pivots are chosen symmetrically
-by minimum degree: the live row with the fewest nonzero entries, ties to the
-lowest label. The pivot comes from a lazy min-heap of (row size, label); a
-row is pushed again only when its size changes, and entries for eliminated
-or resized rows are skipped when popped. Rows are rescaled lazily (the
-per-step factor pivot/previous_pivot telescopes), so eliminating a pivot of
-degree d costs O(d^2) entry updates plus O(d log V) heap work and touches no
-other row. On subdivided sparse graphs (cycles, thetas, the witnesses) the
-degree-2 vertices go first and each adds at most one fill edge, so the whole
-count takes O(V log V) steps. Dense graphs or heavy fill-in still cost up to
-O(V^3) big-integer steps.
+by exact minimum degree: the next pivot is always a live row with the fewest
+nonzero entries. Ties follow chains: after pivot p, the next pivot is the
+touched neighbour of p with the smallest new row, if that row is no longer
+than p's was (every untouched row is at least that long); otherwise it is
+the (row size, label) minimum of a lazy heap. A row is pushed again only
+when its size changes, and stale heap entries are skipped when popped. Rows
+are rescaled lazily (the per-step factor pivot/previous_pivot telescopes),
+so eliminating a pivot with d live neighbours costs O(d^2) entry updates
+plus O(d log V) heap work and touches no other row.
+
+Each Bareiss pivot is a leading principal minor: the product of the
+determinants of the separate pieces eliminated so far. Following chains
+eliminates a path of degree-2 vertices as one run of pivots whatever its
+labels; ties broken by label alone would, under shuffled labels, leave
+hundreds of path pieces open at once and grow the pivots to Theta(V) bits
+while the count stays small. So cycles and thetas take O(V) elimination
+steps on integers of O(log V) bits, plus at most one heap pop per vertex,
+under any labelling. When the smallest live row spans every live row, the
+live block is complete; from then on the elimination runs densely, as
+Bareiss on the upper triangle of a list of lists, if the block has at least
+DENSE_TAIL_MIN rows (on smaller ones the dict elimination is faster).
+Graphs with fill-in (grids, random graphs) pay about f^3 big-integer steps
+for a final complete front of f rows, and dense graphs O(V^3), on integers
+no larger than the minors of the Laplacian.
 
 tau_dc evaluates the deletion-contraction recurrence
 tau(G) = tau(G - e) + tau(G / e), with memoization keyed on canonical
@@ -57,11 +71,18 @@ TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 #: Entries the per-thread deletion-contraction memo keeps (LRU).
 DEFAULT_MEMO_CAP = 1 << 20
 
+#: Least size of a complete live block that tau_matrix finishes as a dense
+#: list-of-lists elimination. Smaller complete blocks, such as the last two
+#: or three rows of nearly every small graph, eliminate faster as dicts than
+#: they copy into lists.
+DENSE_TAIL_MIN = 5
+
 
 def tau_matrix(g: Multigraph) -> TreeCount:
     """Spanning-tree count as the (0,0) cofactor of the Laplacian.
 
-    Disconnected graphs give 0, the one-vertex graph gives 1.
+    Disconnected graphs give 0, the one-vertex graph gives 1. The count
+    does not depend on the labels; only the elimination order does.
     """
     n = g.vertex_count
     if n < 1:
@@ -87,6 +108,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
     # eliminated or changes size and are skipped when popped
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
+    chained = None  # (row size, label) of the neighbour the chain continues to
 
     def catch_up(i: int, target: int) -> None:
         num, den = pivots[target], pivots[stage[i]]
@@ -96,22 +118,37 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         stage[i] = target
 
     while rows:
-        while True:
-            if not heap:
-                # positive semidefinite: an all-zero remaining diagonal means
-                # the whole remaining block is zero, i.e. the graph is disconnected
-                return 0
-            size, p = heappop(heap)
-            prow = rows.get(p)
-            # a row with a zero diagonal is all zero and stays zero
-            if prow is not None and len(prow) == size and p in prow:
-                break
+        if chained is None:
+            while True:
+                size, p = heappop(heap)  # never empty: every live row has a fresh entry
+                prow = rows.get(p)
+                if prow is not None and len(prow) == size:
+                    break
+        else:
+            size, p = chained
+            prow = rows[p]
+        if p not in prow:
+            # positive semidefinite: a zero diagonal means the whole row is
+            # zero, so the remaining block is singular (g is disconnected)
+            return 0
         cur = len(pivots) - 1
+        if size == len(rows) >= DENSE_TAIL_MIN:
+            # every live row spans every live row: fold the lazy scaling in
+            # and finish the complete block densely
+            prev = pivots[cur]
+            order = list(rows)
+            block = []
+            for i in order:
+                row, den = rows[i], pivots[stage[i]]
+                block.append([row[j] * prev // den for j in order])
+            return _dense_bareiss(block, prev)
         if stage[p] != cur:
             catch_up(p, cur)
         del rows[p]
         piv = prow.pop(p)  # prow now holds only the live neighbours of p
         prev = pivots[cur]
+        chained = None
+        limit = size  # the chain goes on only to a row no longer than p's
         for i in prow:
             if stage[i] != cur:
                 catch_up(i, cur)
@@ -128,10 +165,35 @@ def tau_matrix(g: Multigraph) -> TreeCount:
                 if j not in prow:
                     row[j] = row[j] * piv // prev
             stage[i] = cur + 1
-            if len(row) != before:
-                heappush(heap, (len(row), i))
+            after = len(row)
+            if after != before:
+                heappush(heap, (after, i))
+            if after <= limit:
+                limit = after
+                chained = (after, i)
         pivots.append(piv)
     return pivots[-1]
+
+
+def _dense_bareiss(block: list[list[int]], prev: int) -> TreeCount:
+    """Last Bareiss pivot of a symmetric positive semidefinite block.
+
+    block holds the Bareiss entries after a step whose pivot was prev, so
+    the result is the determinant of the whole matrix. Only the upper
+    triangle is updated. A zero pivot means the block is singular.
+    """
+    m = len(block)
+    for k in range(m):
+        bk = block[k]
+        piv = bk[k]
+        if not piv:
+            return 0
+        for i in range(k + 1, m):
+            bi = block[i]
+            f = bk[i]
+            bi[i:] = [(x * piv - f * y) // prev for x, y in zip(bi[i:], bk[i:])]
+        prev = piv
+    return prev
 
 
 # ---------------------------------------------------------------------------

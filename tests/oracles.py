@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 
 from treeforge.graph_core import Multigraph, canonical_form, cycle_graph
 from treeforge.search_oracle import Skeleton, _Sweep, enumerate_skeletons
@@ -180,6 +181,35 @@ def random_connected_multigraph(
         if u != v:
             pairs.append((u, v, rng.randint(1, max_mult)))
     return Multigraph.from_edges(n, pairs)
+
+
+def random_multigraph(rng: random.Random, max_vertices: int = 12, max_subsets: int = 3000) -> Multigraph:
+    """Random pairs with multiplicities 1 to 3, connected or not. Pairs
+    stop before brute_tau would test more than max_subsets edge subsets."""
+    n = rng.randint(2, max_vertices)
+    slots, pairs = 0, []
+    for _ in range(rng.randint(n // 2, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        m = rng.choice((1, 1, 1, 2, 3))
+        if comb(slots + m, n - 1) > max_subsets:
+            break
+        slots += m
+        pairs.append((u, v, m))
+    return Multigraph.from_edges(n, pairs)
+
+
+def grid_graph(rows: int, cols: int) -> Multigraph:
+    """The rows x cols grid, labelled row by row."""
+    pairs = [(i, i + 1) for i in range(rows * cols) if (i + 1) % cols]
+    pairs += [(i, i + cols) for i in range(rows * cols - cols)]
+    return Multigraph.from_edges(rows * cols, pairs)
+
+
+def shuffled(g: Multigraph, rng: random.Random) -> Multigraph:
+    """g under a random relabelling."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
 
 
 def skeleton_of(g: Multigraph) -> Skeleton:

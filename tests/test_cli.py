@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 
 from treeforge import cli
 from treeforge.cli import main
-from treeforge.graph_core import complete_graph, cycle_graph
+from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
 from treeforge.graphio import format_edge_list, format_graph6
+
+from oracles import grid_graph, shuffled
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -39,6 +42,24 @@ def test_count_both_methods_petersen(tmp_path, capsys):
     f.write_text("p 10\n" + "\n".join(f"{u} {v}" for u, v in PETERSEN) + "\n")
     code, out, _ = run(capsys, "count", str(f), "--method", "both")
     assert code == 0 and out.strip() == "2000"
+
+
+def test_count_shuffled_theta(tmp_path, capsys):
+    # the count workload's theta shape, through load_graph and tau_matrix
+    a, b, c = 620, 640, 660
+    g = shuffled(subdivision(Skeleton(2, ((0, 1),) * 3), [a, b, c]), random.Random(620))
+    f = tmp_path / "theta.txt"
+    f.write_text(format_edge_list(g))
+    code, out, _ = run(capsys, "count", str(f))
+    assert code == 0 and out.strip() == str(a * b + b * c + a * c)
+
+
+def test_count_both_methods_shuffled_grid(tmp_path, capsys):
+    # one printed value means the matrix and deletion-contraction agree
+    f = tmp_path / "grid.txt"
+    f.write_text(format_edge_list(shuffled(grid_graph(4, 4), random.Random(44))))
+    code, out, _ = run(capsys, "count", str(f), "--method", "both")
+    assert code == 0 and out.strip() == "100352"
 
 
 def test_count_parse_error_exit_2(tmp_path, capsys):

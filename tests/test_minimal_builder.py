@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from treeforge.graph_core import GraphError, is_simple
@@ -9,6 +11,8 @@ from treeforge.minimal_builder import (
     in_quarter_scope,
 )
 from treeforge.tree_count import tau_matrix
+
+from oracles import shuffled
 
 
 def test_fixed_point_falls_back_to_cycle():
@@ -94,3 +98,11 @@ def test_witness_is_minimal_among_strategies_for_small_n():
     # 36: glue C_{4,9}=13, C_{6,6}=12, bouquet 3*3*4 -> 10 edges
     w = build_witness(36)
     assert w.strategy is Strategy.BOUQUET and w.edges == 10
+
+
+def test_witness_counts_survive_relabelling():
+    # the matrix half of a witness differential: no pivot order that the
+    # labels induce may change a certified count
+    rng = random.Random(2000)
+    for n in range(3, 2001):
+        assert tau_matrix(shuffled(build_witness(n).graph, rng)) == n

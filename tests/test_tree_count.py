@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -19,9 +19,30 @@ from treeforge import tree_count
 from treeforge.search_oracle import _Sweep, enumerate_skeletons
 from treeforge.tree_count import clear_memo, tau_dc, tau_matrix, tau_subdivision
 
-from oracles import brute_tau, fib, random_connected_multigraph, skeleton_of
+from oracles import (
+    brute_tau,
+    fib,
+    grid_graph,
+    random_connected_multigraph,
+    random_multigraph,
+    shuffled,
+    skeleton_of,
+)
 
 THETA = Skeleton(2, ((0, 1),) * 3)
+
+
+def spy_dense_tail(monkeypatch) -> list[int]:
+    """Record the size of every block tau_matrix finishes densely."""
+    blocks = []
+    dense = tree_count._dense_bareiss
+
+    def spy(block, prev):
+        blocks.append(len(block))
+        return dense(block, prev)
+
+    monkeypatch.setattr(tree_count, "_dense_bareiss", spy)
+    return blocks
 
 
 def square_of_cycle(n):
@@ -74,7 +95,7 @@ class TestTauMatrix:
         assert tau_dc(Multigraph(10**6, ((0, 1, 1),))) == 0
 
     def test_relabeling_invariance(self, rng):
-        # the pivot order breaks ties by label, so relabeling changes the
+        # pivot ties depend on the labels, so relabeling changes the
         # elimination but never the count
         for _ in range(40):
             g = random_connected_multigraph(rng, max_vertices=60, extra_edges=15)
@@ -85,12 +106,57 @@ class TestTauMatrix:
                 rng.shuffle(perm)
                 assert tau_matrix(g.relabeled(perm)) == expected
 
-    def test_long_cycle_and_theta(self):
-        # near-linear elimination: these take tens of seconds with a
-        # quadratic pivot scan
-        assert tau_matrix(cycle_graph(20000)) == 20000
+    def test_long_cycle_and_theta(self, rng):
+        # linear elimination under any labelling: these take tens of seconds
+        # with a quadratic pivot scan, and the shuffled theta's pivots grew
+        # to hundreds of bits when ties went to the lowest label
         theta = subdivision(THETA, [3000, 3000, 3000])
-        assert tau_matrix(theta) == 3 * 3000**2
+        for g, expected in ((cycle_graph(20000), 20000), (theta, 3 * 3000**2)):
+            assert tau_matrix(g) == expected
+            assert tau_matrix(shuffled(g, rng)) == expected
+        grid = grid_graph(16, 16)
+        assert tau_matrix(shuffled(grid, rng)) == tau_matrix(grid)
+
+    def test_dense_tail_closed_forms(self, monkeypatch):
+        blocks = spy_dense_tail(monkeypatch)
+        floor = tree_count.DENSE_TAIL_MIN
+        # lambda * K_n is one complete block from the first pivot on
+        for lam in (1, 2, 3):
+            for n in range(2, 12):
+                blocks.clear()
+                g = Multigraph.from_edges(n, [(u, v, lam) for u, v in combinations(range(n), 2)])
+                assert tau_matrix(g) == lam ** (n - 1) * n ** (n - 2)
+                assert blocks == ([n - 1] if n - 1 >= floor else [])
+        # K_{m,n} fills in to a complete block once its smaller side is gone
+        for m in range(1, 10):
+            for n in range(1, 10):
+                blocks.clear()
+                g = Multigraph.from_edges(m + n, [(u, m + v) for u in range(m) for v in range(n)])
+                assert tau_matrix(g) == m ** (n - 1) * n ** (m - 1)
+                assert len(blocks) <= 1
+                assert blocks or min(m, n) < floor
+
+    def test_two_disjoint_k5_leave_a_singular_dense_block(self, monkeypatch):
+        # the K_5 holding vertex 0 goes first; the other is left as a
+        # complete block of five rows whose last pivot is 0
+        blocks = spy_dense_tail(monkeypatch)
+        k5 = list(combinations(range(5), 2))
+        g = Multigraph.from_edges(10, k5 + [(u + 5, v + 5) for u, v in k5])
+        assert tau_matrix(g) == 0
+        assert blocks == [5]
+
+    def test_random_multigraphs_match_bruteforce(self, rng, monkeypatch):
+        # disconnected graphs and multiplicities up to 3 reach the zero
+        # diagonals of both pivot choices; a floor of 1 sends every complete
+        # block an elimination reaches, singular ones included, through the
+        # dense tail
+        graphs = [random_multigraph(rng) for _ in range(2000)]
+        expected = [brute_tau(g) for g in graphs]
+        assert sum(t == 0 for t in expected) > 500
+        assert sum(m > 1 for g in graphs for _, _, m in g.edges) > 500
+        for floor in (tree_count.DENSE_TAIL_MIN, 1):
+            monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
+            assert [tau_matrix(g) for g in graphs] == expected
 
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
