@@ -81,8 +81,13 @@ DENSE_TAIL_MIN = 5
 def tau_matrix(g: Multigraph) -> TreeCount:
     """Spanning-tree count as the (0,0) cofactor of the Laplacian.
 
-    Disconnected graphs give 0, the one-vertex graph gives 1. The count
-    does not depend on the labels; only the elimination order does.
+    Disconnected graphs give 0, the one-vertex graph gives 1. Pivots are
+    exact minimum degree: the next pivot is the touched neighbour of the
+    last one with the smallest new row if that row is no longer than the
+    last pivot's, else the shortest row with the lowest label. Once the
+    shortest live row spans all live rows, at least DENSE_TAIL_MIN of them,
+    the block is finished densely. Cycles and thetas take O(V) steps under
+    any labelling; fill-in costs about f^3 steps for a final front of f rows.
     """
     n = g.vertex_count
     if n < 1:
@@ -99,8 +104,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         if u:
             ru = rows[u]
             ru[u] = ru.get(u, 0) + m
-            ru[v] = ru.get(v, 0) - m
-            rv[u] = rv.get(u, 0) - m
+            ru[v] = rv[u] = -m  # edges holds one triple per adjacent pair
 
     pivots = [1]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
     stage = dict.fromkeys(rows, 0)  # step each row was last brought up to
@@ -108,7 +112,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
     # eliminated or changes size and are skipped when popped
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
-    chained = None  # (row size, label) of the neighbour the chain continues to
+    chained = 0  # label of the neighbour the chain goes on to; vertex 0 has no row
 
     def catch_up(i: int, target: int) -> None:
         num, den = pivots[target], pivots[stage[i]]
@@ -118,21 +122,21 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         stage[i] = target
 
     while rows:
-        if chained is None:
+        if not chained:
             while True:
                 size, p = heappop(heap)  # never empty: every live row has a fresh entry
                 prow = rows.get(p)
                 if prow is not None and len(prow) == size:
                     break
-        else:
-            size, p = chained
+        else:  # size already holds the length of its row
+            p = chained
             prow = rows[p]
         if p not in prow:
             # positive semidefinite: a zero diagonal means the whole row is
             # zero, so the remaining block is singular (g is disconnected)
             return 0
         cur = len(pivots) - 1
-        if size == len(rows) >= DENSE_TAIL_MIN:
+        if size >= DENSE_TAIL_MIN and size == len(rows):
             # every live row spans every live row: fold the lazy scaling in
             # and finish the complete block densely
             prev = pivots[cur]
@@ -147,8 +151,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         del rows[p]
         piv = prow.pop(p)  # prow now holds only the live neighbours of p
         prev = pivots[cur]
-        chained = None
-        limit = size  # the chain goes on only to a row no longer than p's
+        chained = 0
         for i in prow:
             if stage[i] != cur:
                 catch_up(i, cur)
@@ -168,9 +171,9 @@ def tau_matrix(g: Multigraph) -> TreeCount:
             after = len(row)
             if after != before:
                 heappush(heap, (after, i))
-            if after <= limit:
-                limit = after
-                chained = (after, i)
+            if after <= size:  # no longer than p's row, nor than the last pick
+                size = after
+                chained = i
         pivots.append(piv)
     return pivots[-1]
 
