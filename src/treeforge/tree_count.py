@@ -29,11 +29,19 @@ Graphs with fill-in (grids, random graphs) pay about f^3 big-integer steps
 for a final complete front of f rows, and dense graphs O(V^3), on integers
 no larger than the minors of the Laplacian.
 
-tau_dc evaluates the deletion-contraction recurrence
-tau(G) = tau(G - e) + tau(G / e), with memoization keyed on canonical
-forms, block factorization at cut vertices, and parallel bundles collapsed
-in one step: a bundle of m copies contributes m * tau(contract) +
-tau(delete all copies).
+tau_dc counts on (t, f)-weighted edges: an edge adds the factor t to a
+spanning tree that contains it and f to one that does not, so tau is the sum
+over trees T of prod_{e in T} t_e * prod_{e not in T} f_e, and a pair of
+multiplicity m enters as (m, 1). Parallel edges merge on insertion into
+(t1 f2 + f1 t2, f1 f2). Two local rules, the two-terminal reductions of
+network reliability (Colbourn, 1987), then run without recursing: a pendant
+vertex gives a factor t, and a vertex with two neighbours a and b becomes
+the edge (t1 t2, t1 f2 + f1 t2) between a and b. The core left, of minimum
+degree 3, is memoized under its canonical form with each pair's multiplicity
+set to the rank of its weight, plus the sorted weights themselves. A core of
+several blocks is their product; a single block recurses on one edge e as
+tau = t_e tau(G / e) + f_e tau(G - e). So trees, cycles, thetas and
+bouquets of cycles never recurse, and only the reduced core does.
 
 tau_subdivision evaluates the count for a skeleton whose edges are blown
 up into paths: sum over spanning trees T of the skeleton of the product of
@@ -63,7 +71,6 @@ from .graph_core import (
     _find,
     biconnected_components,
     canonical_form,
-    contract_edge,
 )
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
@@ -206,11 +213,9 @@ _local = threading.local()
 
 
 def _memo() -> OrderedDict:
-    table = getattr(_local, "table", None)
-    if table is None:
-        table = OrderedDict()
-        _local.table = table
-    return table
+    if not hasattr(_local, "table"):
+        _local.table = OrderedDict()
+    return _local.table
 
 
 def clear_memo() -> None:
@@ -218,65 +223,57 @@ def clear_memo() -> None:
     _local.table = OrderedDict()
 
 
-def _strip_pendants(g: Multigraph) -> tuple[Multigraph, int]:
-    """Remove degree-1 vertices repeatedly; returns (core, multiplier).
+def _join(adj: dict, a: int, b: int, w: tuple[int, int]) -> None:
+    """Add the edge a-b of weight w = (t, f), merged with a parallel one."""
+    old = adj[a].get(b)
+    if old is not None:
+        (t1, f1), (t2, f2) = old, w
+        w = (t1 * f2 + f1 * t2, f1 * f2)
+    adj[a][b] = adj[b][a] = w
 
-    Every spanning tree must use one copy of each pendant bundle, so a
-    pendant with multiplicity m scales the count by m. Leaves are peeled
-    with a stack over one adjacency map, and the survivors are relabeled
-    once in increasing order, so the whole strip is linear in the size of
-    g. The core of a connected graph does not depend on the peeling order
-    (a tree always ends as the one-vertex graph).
-    """
-    n = g.vertex_count
-    neighbours = [0] * n
-    for u, v, _ in g.edges:
-        neighbours[u] += 1
-        neighbours[v] += 1
-    leaves = [x for x in range(n) if neighbours[x] == 1]
-    if not leaves:
-        return g, 1
-    adj = g.adjacency()
-    removed = [False] * n
-    alive = n
+
+def _reduce(adj: dict) -> TreeCount:
+    """Apply the pendant and series rules in place until one vertex is left
+    or every vertex has three neighbours; return the pendant factor."""
     factor = 1
-    while leaves and alive > 1:
-        x = leaves.pop()
-        if len(adj[x]) != 1:  # its last neighbour was peeled first
-            continue
-        (y, m), = adj[x].items()
-        factor *= m
-        removed[x] = True
-        alive -= 1
-        del adj[y][x]
-        if len(adj[y]) == 1:
-            leaves.append(y)
-    keep = [x for x in range(n) if not removed[x]]
-    index = {x: i for i, x in enumerate(keep)}
-    # the relabeling keeps the order, so the triples stay sorted
-    pairs = tuple(
-        (index[u], index[v], m)
-        for u, v, m in g.edges
-        if not (removed[u] or removed[v])
-    )
-    return Multigraph(alive, pairs), factor
+    todo = [x for x, nb in adj.items() if len(nb) <= 2]
+    while todo and len(adj) > 1:
+        x = todo.pop()
+        nb = adj.get(x)
+        if nb is None or len(nb) > 2:
+            continue  # removed already, or regained a neighbour
+        del adj[x]
+        for y in nb:
+            del adj[y][x]
+            todo.append(y)
+        if len(nb) == 1:
+            factor *= next(iter(nb.values()))[0]
+        else:
+            (a, (t1, f1)), (b, (t2, f2)) = nb.items()
+            _join(adj, a, b, (t1 * t2, t1 * f2 + f1 * t2))
+    return factor
 
 
-def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
-    # g is connected here
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    if n == 2:
-        return g.edges[0][2]
-    g, factor = _strip_pendants(g)
-    n = g.vertex_count
-    if n == 1:
+def _weighted(g: Multigraph, weight) -> dict:
+    """Adjacency dicts of g, with weight(m) on the pair of multiplicity m."""
+    adj: dict = {x: {} for x in range(g.vertex_count)}
+    for u, v, m in g.edges:
+        adj[u][v] = adj[v][u] = weight(m)
+    return adj
+
+
+def _tau_dc_core(adj: dict, table: OrderedDict, cap: int) -> TreeCount:
+    # adj is connected; it is reduced and then consumed
+    factor = _reduce(adj)
+    if len(adj) == 1:
         return factor
-    if n == 2:
-        return factor * g.edges[0][2]
-
-    key = canonical_form(g)
+    # the key: the core with each weight replaced by its rank, and the weights
+    index = {x: i for i, x in enumerate(adj)}
+    weights = sorted({w for nb in adj.values() for w in nb.values()})
+    rank = {w: r for r, w in enumerate(weights, 1)}
+    triples = [(index[u], index[v], rank[w]) for u, nb in adj.items() for v, w in nb.items()]
+    g = Multigraph(len(index), tuple(sorted(e for e in triples if e[0] < e[1])))
+    key = (canonical_form(g), tuple(weights))
     hit = table.get(key)
     if hit is not None:
         table.move_to_end(key)
@@ -286,16 +283,18 @@ def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
     if len(blocks) > 1:
         value = 1
         for b in blocks:
-            value *= _tau_dc_block(b, table, cap)
+            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table, cap)
     else:
-        u, v, m = max(g.edges, key=lambda e: (e[2], -e[0], -e[1]))
-        contracted = contract_edge(g, u, v)
-        value = m * _tau_dc_block(contracted, table, cap)
-        deleted = Multigraph(
-            g.vertex_count, tuple(e for e in g.edges if (e[0], e[1]) != (u, v))
-        )
-        if deleted.is_connected():
-            value += _tau_dc_block(deleted, table, cap)
+        # a 2-connected core: G - e stays connected
+        u = min(adj)
+        v = min(adj[u])
+        t, f = adj[u].pop(v)
+        del adj[v][u]
+        contracted = {x: dict(nb) for x, nb in adj.items()}
+        for y, w in contracted.pop(v).items():
+            del contracted[y][v]
+            _join(contracted, u, y, w)
+        value = t * _tau_dc_core(contracted, table, cap) + f * _tau_dc_core(adj, table, cap)
 
     table[key] = value
     if len(table) > cap:
@@ -304,13 +303,13 @@ def _tau_dc_block(g: Multigraph, table: OrderedDict, cap: int) -> TreeCount:
 
 
 def tau_dc(g: Multigraph) -> TreeCount:
-    """Spanning-tree count by deletion-contraction.
+    """Spanning-tree count by deletion-contraction on (t, f)-weighted edges.
 
-    Agrees with tau_matrix everywhere. The memo table is per-thread (so
-    concurrent callers never contend or deadlock) and keeps the
-    DEFAULT_MEMO_CAP most recently used entries. The recursion is as deep
-    as the graph is long (a 1000-cycle exceeds Python's default limit);
-    running out of stack raises GraphError.
+    Pendant vertices and vertices with two neighbours reduce away without
+    recursing; only the core left recurses, and running out of stack there
+    raises GraphError. The memo is per-thread (so concurrent callers never
+    contend or deadlock), keeps the DEFAULT_MEMO_CAP most recently used
+    cores, and keys each on its canonical form and its weights by value.
     """
     n = g.vertex_count
     if n < 1:
@@ -318,7 +317,7 @@ def tau_dc(g: Multigraph) -> TreeCount:
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
     try:
-        return _tau_dc_block(g, _memo(), DEFAULT_MEMO_CAP)
+        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), _memo(), DEFAULT_MEMO_CAP)
     except RecursionError:
         raise GraphError(
             f"deletion-contraction recursion too deep on {n} vertices; use the matrix method"

@@ -205,6 +205,13 @@ def grid_graph(rows: int, cols: int) -> Multigraph:
     return Multigraph.from_edges(rows * cols, pairs)
 
 
+def square_of_cycle(n: int) -> Multigraph:
+    """C_n^2: each vertex joined to the next two around an n-cycle."""
+    return Multigraph.from_edges(
+        n, [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
+    )
+
+
 def shuffled(g: Multigraph, rng: random.Random) -> Multigraph:
     """g under a random relabelling."""
     perm = list(range(g.vertex_count))

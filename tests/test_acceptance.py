@@ -58,7 +58,7 @@ from treeforge.search_oracle import (
 )
 from treeforge.tree_count import tau_dc, tau_matrix, tau_subdivision
 
-from oracles import fib, random_connected_multigraph, skeleton_of
+from oracles import fib, random_connected_multigraph, skeleton_of, square_of_cycle
 
 
 def _announce(label: str, started: float) -> None:
@@ -209,12 +209,6 @@ def test_criterion_4_method_cross_validation():
 
 
 # -- 5 -----------------------------------------------------------------------
-
-
-def square_of_cycle(n: int) -> Multigraph:
-    return Multigraph.from_edges(
-        n, [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
-    )
 
 
 def test_criterion_5_known_values():

@@ -8,7 +8,7 @@ from treeforge.cli import main
 from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
 from treeforge.graphio import format_edge_list, format_graph6
 
-from oracles import grid_graph, shuffled
+from oracles import grid_graph, shuffled, square_of_cycle
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -220,13 +220,28 @@ def test_idoneal_commands(capsys):
         ("beta", "25", "--max-edges", "13"),
         ("fixedpoint", "40"),
         ("fixedpoint", "27", "--max-witnesses", "441"),
-        ("count", "--spec", "bouquet:1000", "--method", "dc"),
     ],
     ids=" ".join,
 )
 def test_bad_value_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_count_long_cycle_both_methods(capsys):
+    # the series rule reduces the cycle without recursion
+    code, out, _ = run(capsys, "count", "--spec", "bouquet:1000", "--method", "both")
+    assert code == 0 and out.strip() == "1000"
+
+
+def test_count_dc_too_deep_exit_2(tmp_path, capsys, recursion_limit):
+    # C_30^2 is 4-regular, so nothing reduces and the recursion runs deep
+    f = tmp_path / "c30sq.txt"
+    f.write_text(format_edge_list(square_of_cycle(30)))
+    recursion_limit(40)
+    code, out, err = run(capsys, "count", str(f), "--method", "dc")
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert "recursion too deep" in err
 
 
 def test_verify_table1(capsys):

@@ -10,7 +10,7 @@ from treeforge.minimal_builder import (
     check_bounds,
     in_quarter_scope,
 )
-from treeforge.tree_count import tau_matrix
+from treeforge.tree_count import tau_dc, tau_matrix
 
 from oracles import shuffled
 
@@ -101,8 +101,10 @@ def test_witness_is_minimal_among_strategies_for_small_n():
 
 
 def test_witness_counts_survive_relabelling():
-    # the matrix half of a witness differential: no pivot order that the
+    # a witness differential: no pivot order or reduction order that the
     # labels induce may change a certified count
     rng = random.Random(2000)
     for n in range(3, 2001):
-        assert tau_matrix(shuffled(build_witness(n).graph, rng)) == n
+        g = shuffled(build_witness(n).graph, rng)
+        assert tau_matrix(g) == n
+        assert tau_dc(g) == n

@@ -27,6 +27,7 @@ from oracles import (
     random_multigraph,
     shuffled,
     skeleton_of,
+    square_of_cycle,
 )
 
 THETA = Skeleton(2, ((0, 1),) * 3)
@@ -43,12 +44,6 @@ def spy_dense_tail(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(tree_count, "_dense_bareiss", spy)
     return blocks
-
-
-def square_of_cycle(n):
-    return Multigraph.from_edges(
-        n, [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
-    )
 
 
 class TestTauMatrix:
@@ -157,6 +152,10 @@ class TestTauMatrix:
         for floor in (tree_count.DENSE_TAIL_MIN, 1):
             monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
             assert [tau_matrix(g) for g in graphs] == expected
+        # one memo for all of them: a key that lost a weight placement would
+        # hand one graph's core count to another
+        clear_memo()
+        assert [tau_dc(g) for g in graphs] == expected
 
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
@@ -196,9 +195,18 @@ class TestTauDC:
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
 
-    def test_long_path_strips_in_linear_time(self):
-        # one peel over the whole path, not one graph rebuild per leaf
+    def test_long_path_strips_in_linear_time(self, recursion_limit):
+        # the pendant and series rules reduce these to one vertex without
+        # recursing: a path, a cycle, a theta and a bouquet of triangles
+        theta = subdivision(THETA, [3000] * 3)
+        bouquet = Multigraph.from_edges(
+            2001, [e for i in range(1, 2001, 2) for e in ((0, i), (i, i + 1), (i + 1, 0))]
+        )
+        recursion_limit(150)
         assert tau_dc(path_graph(5000)) == 1
+        assert tau_dc(cycle_graph(100000)) == 100000
+        assert tau_dc(theta) == 3 * 3000**2
+        assert tau_dc(bouquet) == 3**1000
 
     def test_pendant_trees_on_a_cycle(self, rng):
         # random trees, some edges doubled or tripled, hung off a cycle with
