@@ -1,33 +1,41 @@
 """Exact spanning-tree counting by two independent methods.
 
-tau_matrix evaluates the Kirchhoff cofactor: delete row/column 0 of the
-Laplacian and take the determinant. The elimination is fraction-free
-(Bareiss), so every intermediate value is an integer minor of the original
-matrix and the result is exact at any size. Pivots are chosen symmetrically
-by exact minimum degree: the next pivot is always a live row with the fewest
-nonzero entries. Ties follow chains: after pivot p, the next pivot is the
-touched neighbour of p with the smallest new row, if that row is no longer
-than p's was (every untouched row is at least that long); otherwise it is
-the (row size, label) minimum of a lazy heap. A row is pushed again only
-when its size changes, and stale heap entries are skipped when popped. Rows
-are rescaled lazily (the per-step factor pivot/previous_pivot telescopes),
-so eliminating a pivot with d live neighbours costs O(d^2) entry updates
-plus O(d log V) heap work and touches no other row.
+tau_matrix evaluates a Kirchhoff cofactor of the Laplacian in two stages.
+First it Kron-reduces the Laplacian: every vertex with at most two live
+neighbours is eliminated in closed form (a Schur complement), on pairs that
+carry a conductance t/f, a pair of multiplicity m entering as m/1. A pendant
+vertex multiplies the count by its t, a vertex with two neighbours becomes
+the pair (t1 t2, t1 f2 + f1 t2) between them, pairs joined twice merge into
+(t1 f2 + f1 t2, f1 f2), and an isolated vertex while others are live means
+the graph is disconnected. This takes O(V) dict work, and trees, cycles,
+thetas and bouquets end here. The reduction is tau_matrix's own code, in
+Laplacian terms: it calls none of tau_dc's reductions, canonical forms or
+block split, so the two methods stay independent checks of each other.
 
-Each Bareiss pivot is a leading principal minor: the product of the
-determinants of the separate pieces eliminated so far. Following chains
-eliminates a path of degree-2 vertices as one run of pivots whatever its
-labels; ties broken by label alone would, under shuffled labels, leave
-hundreds of path pieces open at once and grow the pivots to Theta(V) bits
-while the count stays small. So cycles and thetas take O(V) elimination
-steps on integers of O(log V) bits, plus at most one heap pop per vertex,
-under any labelling. When the smallest live row spans every live row, the
+The core left has minimum degree 3. Its least label is deleted as the root,
+its rows are P times its Laplacian, P the product of every f in the core,
+and the elimination is fraction-free (Bareiss) with P as the sentinel
+pivot. By Sylvester's identity every entry is then P times a minor of the
+Laplacian, and by the all-minors matrix-tree theorem (Chaiken, 1982) such a
+minor is a signed sum over spanning forests of products of t/f, so every
+entry is an integer, and the last pivot is the core's count, the sum over
+spanning trees T of prod_{e in T} t_e * prod_{e not in T} f_e. Pivots are
+chosen symmetrically by exact minimum degree: the next pivot is always a
+live row with the fewest nonzero entries. Ties follow chains: after pivot
+p, the next pivot is the touched neighbour of p with the smallest new row,
+if that row is no longer than p's was (every untouched row is at least
+that long); otherwise it is the (row size, label) minimum of a lazy heap. A
+row is pushed again only when its size changes, and stale heap entries are
+skipped when popped. Rows are rescaled lazily (the per-step factor
+pivot/previous_pivot telescopes), so eliminating a pivot with d live
+neighbours costs O(d^2) entry updates plus O(d log V) heap work and
+touches no other row. When the smallest live row spans every live row, the
 live block is complete; from then on the elimination runs densely, as
 Bareiss on the upper triangle of a list of lists, if the block has at least
 DENSE_TAIL_MIN rows (on smaller ones the dict elimination is faster).
 Graphs with fill-in (grids, random graphs) pay about f^3 big-integer steps
 for a final complete front of f rows, and dense graphs O(V^3), on integers
-no larger than the minors of the Laplacian.
+no larger than P times the minors of the Laplacian.
 
 tau_dc counts on (t, f)-weighted edges: an edge adds the factor t to a
 spanning tree that contains it and f to one that does not, so tau is the sum
@@ -86,40 +94,119 @@ DENSE_TAIL_MIN = 5
 
 
 def tau_matrix(g: Multigraph) -> TreeCount:
-    """Spanning-tree count as the (0,0) cofactor of the Laplacian.
+    """Spanning-tree count as a cofactor of the Laplacian.
 
-    Disconnected graphs give 0, the one-vertex graph gives 1. Pivots are
-    exact minimum degree: the next pivot is the touched neighbour of the
-    last one with the smallest new row if that row is no longer than the
-    last pivot's, else the shortest row with the lowest label. Once the
-    shortest live row spans all live rows, at least DENSE_TAIL_MIN of them,
-    the block is finished densely. Cycles and thetas take O(V) steps under
-    any labelling; fill-in costs about f^3 steps for a final front of f rows.
+    Disconnected graphs give 0, the one-vertex graph gives 1. First every
+    vertex with at most two live neighbours is Kron-reduced in closed form
+    (_kron_reduce), so trees, cycles, thetas and bouquets cost O(V) dict
+    work and no elimination. The core left, of minimum degree 3, is
+    eliminated by Bareiss on P L, P the product of its f, with P as the
+    sentinel pivot (_core_cofactor): every entry is then P times a minor of
+    L, an integer, and the last pivot is the count. A core pays exact
+    minimum-degree Bareiss, about f^3 steps for a final complete front of f
+    rows. The reduction is tau_matrix's own code, in Laplacian terms: it
+    calls none of tau_dc's reductions, canonical forms or block split, so
+    the two methods stay independent checks of each other.
     """
     n = g.vertex_count
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    if n == 1:
-        return 1
     if len(g.edges) < n - 1:
         return 0  # fewer adjacent pairs than a spanning tree has edges
-    # reduced Laplacian over vertices 1..n-1, stored sparsely and symmetric
-    rows: dict[int, dict[int, int]] = {v: {} for v in range(1, n)}
-    for u, v, m in g.edges:  # u < v, so only u can be the deleted vertex 0
-        rv = rows[v]
-        rv[v] = rv.get(v, 0) + m
-        if u:
-            ru = rows[u]
-            ru[u] = ru.get(u, 0) + m
-            ru[v] = rv[u] = -m  # edges holds one triple per adjacent pair
+    # conductance t/f on each adjacent pair; multiplicity m is m/1
+    adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in range(n)}
+    for u, v, m in g.edges:
+        adj[u][v] = adj[v][u] = (m, 1)
+    factor = _kron_reduce(adj)
+    if not factor or len(adj) == 1:
+        return factor
+    return factor * _core_cofactor(adj)
 
-    pivots = [1]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
+
+def _kron_reduce(adj: dict) -> TreeCount:
+    """Schur-complement every vertex with at most two live neighbours out
+    of the weighted Laplacian, in place; return the factor taken out, or 0
+    if the graph is disconnected.
+
+    With conductances t/f, the count kept is F det, F the product of every
+    f and det a cofactor of the Laplacian. Eliminating a pendant vertex
+    takes its diagonal t/f out of det and its f out of F: a factor t. A vertex
+    with two neighbours adds the conductance c1 c2 / (c1 + c2) between them,
+    the pair (t1 t2, t1 f2 + f1 t2), and pairs joined twice add their
+    conductances into (t1 f2 + f1 t2, f1 f2); F det is unchanged by both.
+    An isolated vertex while others are live means g is disconnected. What
+    is left is one vertex, or a core in which every vertex has at least
+    three neighbours.
+    """
+    factor = 1
+    todo = [x for x, nb in adj.items() if len(nb) <= 2]
+    while todo and len(adj) > 1:
+        x = todo.pop()
+        nb = adj.get(x)
+        if nb is None or len(nb) > 2:
+            continue  # eliminated already, or a core vertex
+        if not nb:
+            return 0
+        del adj[x]
+        if len(nb) == 1:
+            ((a, (t, _)),) = nb.items()
+            del adj[a][x]
+            factor *= t
+            todo.append(a)
+            continue
+        (a, (t1, f1)), (b, (t2, f2)) = nb.items()
+        ra, rb = adj[a], adj[b]
+        del ra[x], rb[x]
+        t, f = t1 * t2, t1 * f2 + f1 * t2
+        old = ra.get(b)
+        if old is not None:  # a and b each lose a neighbour
+            t, f = t * old[1] + f * old[0], f * old[1]
+            todo += (a, b)
+        ra[b] = rb[a] = (t, f)
+    return factor
+
+
+def _core_cofactor(adj: dict) -> TreeCount:
+    """Count of a reduced core: the last Bareiss pivot of P L, with the
+    least label as the deleted root.
+
+    With the sentinel pivots[0] = P, the entries after k steps are the
+    order-(k + 1) minors of P L over P^k (Sylvester's identity), that is P
+    times minors of L. Each is an integer: a minor of L is a signed sum over
+    spanning forests of products of t/f (the all-minors matrix-tree
+    theorem, Chaiken 1982), and P holds every f once. Scaling by lcm(f)
+    instead would multiply every minor by a growing power of the lcm.
+    Pivots are exact minimum degree: the next pivot is the touched neighbour
+    of the last one with the smallest new row if that row is no longer than
+    the last pivot's, else the shortest row with the lowest label. Once the
+    shortest live row spans all live rows, at least DENSE_TAIL_MIN of them,
+    the block is finished densely.
+    """
+    scale = 1
+    for u, nb in adj.items():
+        for v, (_, f) in nb.items():
+            if u < v:
+                scale *= f
+    root = min(adj)
+    rows: dict[int, dict[int, int]] = {v: {} for v in adj if v != root}
+    for u, nb in adj.items():
+        for v, (t, f) in nb.items():
+            if u < v:  # so only u can be the root
+                w = t * (scale // f)
+                rv = rows[v]
+                rv[v] = rv.get(v, 0) + w
+                if u != root:
+                    ru = rows[u]
+                    ru[u] = ru.get(u, 0) + w
+                    ru[v] = rv[u] = -w
+
+    pivots = [scale]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
     stage = dict.fromkeys(rows, 0)  # step each row was last brought up to
     # (row size, label) for every live row; entries go stale when a row is
     # eliminated or changes size and are skipped when popped
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
-    chained = 0  # label of the neighbour the chain goes on to; vertex 0 has no row
+    chained = None  # label of the neighbour the chain goes on to, if any
 
     def catch_up(i: int, target: int) -> None:
         num, den = pivots[target], pivots[stage[i]]
@@ -129,7 +216,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         stage[i] = target
 
     while rows:
-        if not chained:
+        if chained is None:
             while True:
                 size, p = heappop(heap)  # never empty: every live row has a fresh entry
                 prow = rows.get(p)
@@ -158,7 +245,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         del rows[p]
         piv = prow.pop(p)  # prow now holds only the live neighbours of p
         prev = pivots[cur]
-        chained = 0
+        chained = None
         for i in prow:
             if stage[i] != cur:
                 catch_up(i, cur)

@@ -224,6 +224,41 @@ def skeleton_of(g: Multigraph) -> Skeleton:
     return Skeleton(g.vertex_count, tuple((u, v) for u, v, m in g.edges for _ in range(m)))
 
 
+def suppress_degree_two(g: Multigraph) -> tuple[Skeleton, tuple[int, ...]]:
+    """The skeleton and slot lengths of which the connected graph g is the
+    subdivision: every vertex of degree 2 is suppressed into the path
+    through it, by walking each path from a vertex of another degree (a
+    branch vertex) to the next one. Branch vertices keep their order; a
+    graph with no branch vertex, a cycle, becomes one loop."""
+    copies = [(u, v) for u, v, m in g.edges for _ in range(m)]
+    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for i, (u, v) in enumerate(copies):
+        incident[u].append(i)
+        incident[v].append(i)
+    branch = [v for v in range(g.vertex_count) if len(incident[v]) != 2]
+    if not branch:
+        return Skeleton(1, ((0, 0),)), (len(copies),)
+    index = {v: i for i, v in enumerate(branch)}
+    used = [False] * len(copies)
+    slots, lengths = [], []
+    for a in branch:
+        for first in incident[a]:
+            if used[first]:
+                continue
+            e, x, length = first, a, 0
+            while True:
+                used[e] = True
+                length += 1
+                u, v = copies[e]
+                x = v if x == u else u
+                if x in index:
+                    break
+                e = next(i for i in incident[x] if i != e)
+            slots.append(tuple(sorted((index[a], index[x]))))
+            lengths.append(length)
+    return Skeleton(len(branch), tuple(slots)), tuple(lengths)
+
+
 def random_simple_connected(rng: random.Random, max_vertices: int = 8) -> Multigraph:
     n = rng.randint(2, max_vertices)
     pairs = {(rng.randrange(v), v) for v in range(1, n)}

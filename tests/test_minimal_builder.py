@@ -10,9 +10,9 @@ from treeforge.minimal_builder import (
     check_bounds,
     in_quarter_scope,
 )
-from treeforge.tree_count import tau_dc, tau_matrix
+from treeforge.tree_count import tau_dc, tau_matrix, tau_subdivision
 
-from oracles import shuffled
+from oracles import shuffled, suppress_degree_two
 
 
 def test_fixed_point_falls_back_to_cycle():
@@ -108,3 +108,12 @@ def test_witness_counts_survive_relabelling():
         g = shuffled(build_witness(n).graph, rng)
         assert tau_matrix(g) == n
         assert tau_dc(g) == n
+
+
+def test_witness_subdivision_counts():
+    # the third count of the witness differential: each witness is counted
+    # from the skeleton left when its degree-2 vertices are suppressed and
+    # the lengths of the paths they formed, without building a Laplacian
+    for n in range(3, 2001):
+        skeleton, lengths = suppress_degree_two(build_witness(n).graph)
+        assert tau_subdivision(skeleton, lengths) == n

@@ -16,6 +16,7 @@ from treeforge.graph_core import (
     subdivision,
 )
 from treeforge import tree_count
+from treeforge.minimal_builder import build_witness
 from treeforge.search_oracle import _Sweep, enumerate_skeletons
 from treeforge.tree_count import clear_memo, tau_dc, tau_matrix, tau_subdivision
 
@@ -65,8 +66,8 @@ class TestTauMatrix:
             assert tau_matrix(g) == brute_tau(g)
 
     def test_disconnected_with_many_edges_is_zero(self):
-        # enough adjacent pairs to pass the edge-count shortcut, so the
-        # elimination itself must run out of nonzero pivots
+        # enough adjacent pairs to pass the edge-count shortcut: the ring
+        # collapses to a vertex that is isolated while K_6 is live
         k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
         ring = [(6 + i, 6 + (i + 1) % 10) for i in range(10)]
         assert tau_matrix(Multigraph.from_edges(16, k6 + ring)) == 0
@@ -77,7 +78,7 @@ class TestTauMatrix:
 
     def test_isolated_vertex_is_zero(self):
         k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-        # vertex 0 is the deleted row: the rest is the singular Laplacian of K_6
+        # the reduction finds the isolated vertex whatever its label
         assert tau_matrix(Multigraph.from_edges(7, [(u + 1, v + 1) for u, v in k6])) == 0
         assert tau_matrix(Multigraph.from_edges(7, k6)) == 0
 
@@ -122,7 +123,10 @@ class TestTauMatrix:
                 g = Multigraph.from_edges(n, [(u, v, lam) for u, v in combinations(range(n), 2)])
                 assert tau_matrix(g) == lam ** (n - 1) * n ** (n - 2)
                 assert blocks == ([n - 1] if n - 1 >= floor else [])
-        # K_{m,n} fills in to a complete block once its smaller side is gone
+        # K_{m,n} fills in to a complete block once its smaller side is
+        # gone; with a side of at most two vertices the other side's
+        # vertices have at most two neighbours, so the graph collapses
+        # before any elimination
         for m in range(1, 10):
             for n in range(1, 10):
                 blocks.clear()
@@ -162,6 +166,147 @@ class TestTauMatrix:
         g = subdivision(THETA, [60, 70, 81])
         assert g.vertex_count == 2 + 59 + 69 + 80
         assert tau_matrix(g) == 60 * 70 + 60 * 81 + 70 * 81
+
+
+def spy_core(monkeypatch) -> list[dict]:
+    """Record a copy of every reduced core tau_matrix hands to Bareiss."""
+    cores = []
+    cofactor = tree_count._core_cofactor
+
+    def spy(adj):
+        cores.append({x: dict(nb) for x, nb in adj.items()})
+        return cofactor(adj)
+
+    monkeypatch.setattr(tree_count, "_core_cofactor", spy)
+    return cores
+
+
+K4 = [(u, v) for u, v in combinations(range(4), 2)]
+
+
+class TestKronReduction:
+    def test_pendant_trees_with_multiplicities(self, rng, monkeypatch):
+        # every edge of a tree is a bridge, so tau is the product of the
+        # multiplicities, and nothing reaches the elimination
+        cores = spy_core(monkeypatch)
+        for n in range(2, 30):
+            mults = [rng.randint(1, 4) for _ in range(n - 1)]
+            path = Multigraph.from_edges(n, [(i, i + 1, m) for i, m in enumerate(mults)])
+            tree = Multigraph.from_edges(n, [(rng.randrange(v), v, m) for v, m in enumerate(mults, 1)])
+            product = 1
+            for m in mults:
+                product *= m
+            for g in (path, tree, shuffled(tree, rng)):
+                assert tau_matrix(g) == product
+        assert cores == []
+
+    def test_chain_with_multiplicities_between_two_k4(self, rng):
+        # the chain is a path of bridges: a factor of 16 per K_4 and the
+        # product of the chain's multiplicities
+        for length in (1, 2, 5):
+            mults = [rng.randint(1, 3) for _ in range(length)]
+            path = [3, *range(8, 8 + length - 1), 4]
+            pairs = K4 + [(u + 4, v + 4) for u, v in K4]
+            pairs += [(a, b, m) for a, b, m in zip(path, path[1:], mults)]
+            g = Multigraph.from_edges(8 + length - 1, pairs)
+            product = 1
+            for m in mults:
+                product *= m
+            assert tau_matrix(g) == 16 * 16 * product
+            assert tau_matrix(shuffled(g, rng)) == 16 * 16 * product
+
+    def test_parallel_chains_between_one_pair(self, rng):
+        # chains merge into one pair: the generalized theta, and with
+        # multiplicities the brute-force count
+        for lengths in ((1, 2), (2, 2, 3), (1, 3, 4, 5), (2, 2, 2, 2, 2)):
+            g = Multigraph.from_edges(2, [])
+            for k in lengths:
+                g = add_path(g, 0, 1, k)
+            assert tau_matrix(g) == tau_generalized_theta(lengths)
+            assert tau_matrix(shuffled(g, rng)) == tau_generalized_theta(lengths)
+        for _ in range(30):
+            pairs, nxt = [], 2
+            for _ in range(rng.randint(2, 4)):
+                inner = rng.randint(0, 2)
+                path = [0, *range(nxt, nxt + inner), 1]
+                nxt += inner
+                pairs += [(a, b, rng.randint(1, 3)) for a, b in zip(path, path[1:])]
+            g = Multigraph.from_edges(nxt, pairs)
+            assert tau_matrix(g) == brute_tau(g)
+
+    def test_cycle_hanging_at_one_vertex(self, rng):
+        # a cycle sharing one vertex with K_4 is a second block: 16 k
+        for k in (3, 4, 10, 101):
+            cycle = [(3, 4), *((i, i + 1) for i in range(4, k + 2)), (k + 2, 3)]
+            g = Multigraph.from_edges(k + 3, K4 + cycle)
+            assert tau_matrix(g) == 16 * k
+            assert tau_matrix(shuffled(g, rng)) == 16 * k
+        g = Multigraph.from_edges(6, K4 + [(3, 4, 2), (4, 5, 3), (5, 3)])
+        assert tau_matrix(g) == 16 * brute_tau(Multigraph.from_edges(3, [(0, 1, 2), (1, 2, 3), (2, 0)]))
+
+    def test_reduction_disconnects(self, monkeypatch):
+        # each component collapses to one vertex, or one stays a core
+        cores = spy_core(monkeypatch)
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        two_triangles = triangle + [(u + 3, v + 3) for u, v in triangle]
+        assert tau_matrix(Multigraph.from_edges(6, two_triangles)) == 0
+        assert tau_matrix(Multigraph.from_edges(4, triangle)) == 0
+        assert tau_matrix(Multigraph.from_edges(4, [(u + 1, v + 1) for u, v in triangle])) == 0
+        assert tau_matrix(Multigraph.from_edges(7, K4 + [(u + 4, v + 4) for u, v in triangle])) == 0
+        assert cores == []
+        # two K_4: nothing reduces, and the sparse elimination meets a zero
+        assert tau_matrix(Multigraph.from_edges(8, K4 + [(u + 4, v + 4) for u, v in K4])) == 0
+        assert len(cores) == 1
+
+    def test_root_moves_out_of_a_pendant_tree(self, monkeypatch):
+        # vertex 0 hangs off K_4 on 1..4 through 5, or lies on a chain
+        # 1-0-5-2 that merges into the pair 1-2; either way the core's least
+        # label, 1, is the deleted root
+        cores = spy_core(monkeypatch)
+        k4 = [(u + 1, v + 1) for u, v in K4]
+        assert tau_matrix(Multigraph.from_edges(6, k4 + [(0, 5), (5, 1)])) == 16
+        assert tau_matrix(Multigraph.from_edges(6, k4 + [(0, 5, 2), (5, 1, 3)])) == 16 * 6
+        chain = Multigraph.from_edges(6, k4 + [(0, 1), (0, 5, 2), (5, 2, 3)])
+        assert tau_matrix(chain) == brute_tau(chain)
+        assert [min(c) for c in cores] == [1, 1, 1]
+
+    def test_core_with_scaled_pivots(self, rng, monkeypatch):
+        # the corners of a grid collapse into edges of conductance 1/2, so
+        # the core's sentinel pivot P is 16
+        cores = spy_core(monkeypatch)
+        grid_counts = {(3, 3): 192, (3, 4): 2415, (4, 4): 100352, (5, 5): 557568000}
+        for (r, c), expected in grid_counts.items():
+            cores.clear()
+            assert tau_matrix(grid_graph(r, c)) == expected
+            assert tau_matrix(shuffled(grid_graph(r, c), rng)) == expected
+            for core in cores:
+                scaled = [f for u, nb in core.items() for v, (_, f) in nb.items() if u < v and f > 1]
+                assert scaled == [2] * 4
+
+    def test_core_has_minimum_degree_three(self, rng, monkeypatch):
+        # the counts are checked against brute force elsewhere; here, what
+        # reaches the elimination
+        cores = spy_core(monkeypatch)
+        for _ in range(300):
+            tau_matrix(random_connected_multigraph(rng, max_vertices=30, extra_edges=20))
+        assert len(cores) > 100
+        assert all(min(len(nb) for nb in core.values()) >= 3 for core in cores)
+
+    def test_independent_of_deletion_contraction(self, rng, monkeypatch):
+        # tau_matrix reduces with its own code: with tau_dc's reducer, edge
+        # merge, canonical form and block split all raising, it still counts
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tau_matrix used code it is meant to check")
+
+        graphs = [random_multigraph(rng) for _ in range(300)]
+        expected = [brute_tau(g) for g in graphs]
+        witnesses = [shuffled(build_witness(n).graph, rng) for n in range(3, 301)]
+        for name in ("_reduce", "_join", "canonical_form", "biconnected_components"):
+            monkeypatch.setattr(tree_count, name, forbidden)
+        assert [tau_matrix(g) for g in graphs] == expected
+        assert [tau_matrix(g) for g in witnesses] == list(range(3, 301))
+        with pytest.raises(AssertionError):
+            tau_dc(square_of_cycle(6))
 
 
 class TestTauDC:
