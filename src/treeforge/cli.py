@@ -28,6 +28,7 @@ from .graphio import ParseError, format_edge_list, load_graph
 from .idoneal import idoneal_numbers_up_to, strict_representations
 from .minimal_builder import (
     BETA_EXCEPTIONS,
+    FIXED_POINTS,
     Witness,
     build_witness,
     check_bounds,
@@ -264,41 +265,29 @@ def cmd_idoneal(args: argparse.Namespace) -> int:
 # verify suites
 
 
-def _verify_table1() -> list[dict]:
+def _verify_variants(rows) -> tuple[int, list[dict]]:
+    """Each variant's closed form must equal the count of its built graph,
+    and the expected value where its row gives one (None: no value)."""
+    checked = 0
     failures = []
-    for spec, expected in TABLE1_ROWS:
+    for spec, expected in rows:
+        checked += 1
         closed = tau_variant(spec)
         built = tau_matrix(build_variant(spec))
-        if closed != expected or built != expected:
-            failures.append(
-                {
-                    "spec": repr(spec),
-                    "expected": expected,
-                    "closed_form": str(closed),
-                    "built": str(built),
-                }
-            )
-    return failures
+        if closed != built or expected not in (None, closed):
+            failure = {"spec": repr(spec)}
+            if expected is not None:
+                failure["expected"] = expected
+            failures.append({**failure, "closed_form": str(closed), "built": str(built)})
+    return checked, failures
 
 
-def _verify_lemma1(max_total: int = 12) -> list[dict]:
-    failures = []
-    for spec in iter_variant_specs(max_total):
-        closed = tau_variant(spec)
-        built = tau_matrix(build_variant(spec))
-        if closed != built:
-            failures.append(
-                {"spec": repr(spec), "closed_form": str(closed), "built": str(built)}
-            )
-    return failures
-
-
-def _verify_bounds(limit: int) -> list[dict]:
+def _verify_bounds(limit: int) -> tuple[int, list[dict]]:
     """Exceptional n must break the edge-and-vertex bound pair (for n = 3
     only the vertex half fails: 3 <= (3+7)/3 already holds), every other n
     must satisfy both, and the quarter bounds must hold in their scope.
-    The fixed points 10 and 22 sit outside the quarter scope because their
-    minimum is n itself."""
+    The fixed points sit outside the quarter scope because their minimum is
+    n itself."""
     failures = []
     for n in range(3, limit + 1):
         w = build_witness(n)
@@ -315,32 +304,31 @@ def _verify_bounds(limit: int) -> list[dict]:
             if in_quarter_scope(n):
                 if not r.bound_quarter or not r.vertex_bound_quarter:
                     failures.append({"n": n, "problem": "quarter bound failed"})
-    return failures
+    return limit - 2, failures
 
 
-def _verify_fixedpoints() -> list[dict]:
+def _verify_fixedpoints() -> tuple[int, list[dict]]:
     failures = []
-    for n in (3, 4, 5, 6, 7, 10, 13, 22):
+    for n in sorted(FIXED_POINTS):
         report = verify_no_smaller_graph(n, n)
         if not report.proved:
             failures.append({"n": n, "problem": "not proved", "reason": report.stop_reason})
-    return failures
+    return len(FIXED_POINTS), failures
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.suite == "table1":
-        failures = _verify_table1()
-        checked = len(TABLE1_ROWS)
+        checked, failures = _verify_variants(TABLE1_ROWS)
     elif args.suite == "lemma1":
-        failures = _verify_lemma1()
-        checked = sum(1 for _ in iter_variant_specs(12))
+        checked, failures = _verify_variants((s, None) for s in iter_variant_specs(12))
     elif args.suite == "bounds":
-        failures = _verify_bounds(args.limit)
-        checked = args.limit - 2
+        if args.limit < 3:
+            print("verify bounds needs --limit >= 3", file=sys.stderr)
+            return 2
+        checked, failures = _verify_bounds(args.limit)
     elif args.suite == "fixedpoints":
-        failures = _verify_fixedpoints()
-        checked = 8
+        checked, failures = _verify_fixedpoints()
     else:  # unreachable thanks to argparse choices
         return 2
     outputs = {"suite": args.suite, "checked": checked, "failures": failures}

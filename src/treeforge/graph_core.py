@@ -1,12 +1,16 @@
-"""Immutable undirected multigraphs and the edge operations that exact
-spanning-tree counting is built on: deletion, contraction, path attachment
-and subdivision, canonical labeling, and blocks and bridges.
+"""Immutable undirected multigraphs and their edge operations (deletion,
+contraction, path attachment, subdivision), canonical labeling and
+automorphism groups, and blocks and bridges. The counters of tree_count
+work on their own adjacency dicts; of this module they use the canonical
+form, the block split and the Skeleton type.
 
 Vertices are always labeled 0..n-1. Parallel edges are stored as integer
 multiplicities on unordered pairs. Loops are never stored: contraction
 discards them on the spot, which keeps the spanning-tree count well defined
 without special cases. A Skeleton lists its edges one slot at a time, loops
-included, and subdivision turns each slot into a path.
+included, and subdivision turns each slot into a path; its residue, the
+loopless multigraph of its slots with each vertex's loop count, is what
+its canonical form and its automorphisms are computed on.
 """
 
 from __future__ import annotations
@@ -221,6 +225,23 @@ class Skeleton:
     def degree(self, v: int) -> int:
         return sum((u == v) + (w == v) for u, w in self.slots)
 
+    def residue(self) -> tuple[Multigraph, list[int]]:
+        """The loopless multigraph of the slots and each vertex's loop
+        count: the skeleton's symmetry type. Two skeletons are isomorphic
+        exactly when their residues are, loop counts taken as colors, and
+        a vertex permutation keeps every slot count exactly when it is an
+        automorphism of the residue that keeps those colors."""
+        loops = [0] * self.vertex_count
+        mult: dict[tuple[int, int], int] = {}
+        for cell in self.slots:
+            if cell[0] == cell[1]:
+                loops[cell[0]] += 1
+            else:
+                mult[cell] = mult.get(cell, 0) + 1
+        # slots have u <= v, so the triples need no further check
+        triples = tuple(sorted((u, v, m) for (u, v), m in mult.items()))
+        return Multigraph(self.vertex_count, triples), loops
+
     def describe(self) -> str:
         return f"{self.vertex_count} vertices, slots {list(self.slots)}"
 
@@ -289,9 +310,10 @@ def subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> Multigraph:
 # explored child of the node where they part onto the current one, so the
 # search jumps back to that node, and it joins orbits in the union-find
 # each node on that shared path keeps over its target cell. A node skips a
-# child in the orbit of an explored one. Nothing but those union-finds is
-# stored, so symmetric graphs (complete graphs, cycles, stars) explore
-# about two children per level.
+# child in the orbit of an explored one. Besides those union-finds the
+# search only lists the automorphisms it meets, which automorphisms()
+# closes into the whole group. Symmetric graphs (complete graphs, cycles,
+# stars) explore about two children per level.
 
 
 def _refine_partition(
@@ -377,9 +399,37 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
     (used e.g. to canonicalize graphs carrying per-vertex attributes).
     Deterministic across runs and platforms.
     """
+    return _canonical_search(g, colors)[0]
+
+
+def automorphisms(g: Multigraph, colors: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """Every color-preserving automorphism of g, as the tuple of vertex
+    images, in lexicographic order: the closure of the automorphisms that
+    canonical_form's search meets. Those met against the first leaf of such
+    a search generate the group (McKay, Congr. Numer. 30, 1981); this one
+    meets them against the best leaf instead, so that the closure is the
+    whole group rests on the tests against brute force over permutations.
+    """
+    gens = _canonical_search(g, colors)[1]
+    identity = tuple(range(g.vertex_count))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        a = todo.pop()
+        for sigma in gens:
+            b = tuple([sigma[x] for x in a])
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return sorted(group)
+
+
+def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[bytes, list]:
+    """canonical_form's key, and the automorphisms its search meets."""
     n = g.vertex_count
+    gens: list[list[int]] = []
     if n == 0:
-        return b"(0)"
+        return b"(0)", gens
     init = list(colors) if colors is not None else [0] * n
     if len(init) != n:
         raise GraphError("colors must assign one value per vertex")
@@ -435,6 +485,7 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
             sigma = [0] * n
             for a, b in zip(best_lab, lab):
                 sigma[a] = b
+            gens.append(sigma)
             d = 0
             while path[d] == best_path[d]:
                 d += 1
@@ -480,7 +531,7 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
         return resume
 
     search(lab, pos, cellof, size, cells, ())
-    return repr((n, tuple(sorted(init)), best[0])).encode()
+    return repr((n, tuple(sorted(init)), best[0])).encode(), gens
 
 
 def _find(parent: dict[int, int] | list[int], x: int) -> int:

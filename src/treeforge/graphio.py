@@ -50,10 +50,13 @@ def parse_edge_list(text: str) -> Multigraph:
             raise ParseError(f"non-integer field in {line!r}", lineno) from None
         u, v = nums[0], nums[1]
         m = nums[2] if len(nums) == 3 else 1
-        try:
-            Multigraph.from_edges(n, [(u, v, m)])
-        except GraphError as exc:
-            raise ParseError(str(exc), lineno) from None
+        # the checks of Multigraph.from_edges, with the line number
+        if u == v:
+            raise ParseError(f"loop at vertex {u} not allowed", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({u},{v}) out of range for {n} vertices", lineno)
+        if m < 1:
+            raise ParseError(f"multiplicity {m} must be >= 1", lineno)
         pairs.append((u, v, m))
     if n is None:
         raise ParseError("empty input: missing 'p <vertex_count>' header")

@@ -44,26 +44,24 @@ BETA_EXCEPTIONS = frozenset({3, 4, 5, 6, 7, 9, 10, 13, 18, 22})
 #: n excluded from the quarter bounds (besides n = 2 mod 3); together with
 #: n = 2 (mod 3), this set decides the quarter part of ExceptionClass in
 #: `check_bounds`. The scope in which the bound checks assert
-#: the quarter bounds is narrower: `in_quarter_scope` also leaves out the
-#: fixed points 10 and 22. Whether those two belong in this constant is an
-#: open question: adding them would turn the class of 22 from BETA into BOTH
-#: and leave ExceptionClass.BETA unreachable.
+#: the quarter bounds is narrower: `in_quarter_scope` also leaves out
+#: FIXED_POINTS, of which only 10 and 22 are not already out. Whether those
+#: two belong in this constant is an open question: adding them would turn
+#: the class of 22 from BETA into BOTH and leave ExceptionClass.BETA
+#: unreachable.
 QUARTER_EXCEPTIONS = frozenset({3, 4, 6, 7, 9, 13, 18, 25})
 
-#: Fixed points alpha(n) = n that fall in the quarter residue classes: every
-#: graph with n trees needs n vertices and n edges, far above (n+13)/4.
-_QUARTER_FIXED_POINTS = frozenset({10, 22})
+#: The n with alpha(n) = n: every graph with n trees needs n vertices and n
+#: edges, the n-cycle's. `verify fixedpoints` proves each one by
+#: search_oracle.verify_no_smaller_graph(n, n).
+FIXED_POINTS = frozenset({3, 4, 5, 6, 7, 10, 13, 22})
 
 
 def in_quarter_scope(n: int) -> bool:
     """Whether the quarter bounds (n+13)/4 edges and (n+9)/4 vertices are
     expected to hold at n: n != 2 (mod 3), n outside QUARTER_EXCEPTIONS and
-    n not one of the fixed points 10 and 22."""
-    return (
-        n % 3 != 2
-        and n not in QUARTER_EXCEPTIONS
-        and n not in _QUARTER_FIXED_POINTS
-    )
+    outside FIXED_POINTS, whose minimum is n itself."""
+    return n % 3 != 2 and n not in QUARTER_EXCEPTIONS and n not in FIXED_POINTS
 
 
 class Strategy(enum.Enum):

@@ -31,13 +31,16 @@ transposition already maps its fixed prefix to a smaller one, and the
 sweep keeps a hit vector only when no skeleton automorphism maps it to a
 smaller one. The docstrings of enumerate_skeletons and _Sweep give the
 arguments that both keep exactly the objects a full canonical dedup keeps.
+Both read a skeleton's symmetry off Skeleton.residue(): enumerate_skeletons
+keys it by canonical_form, and the sweep takes its automorphisms from the
+same search (graph_core.automorphisms), so there is one symmetry search.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -46,6 +49,7 @@ from .graph_core import (
     GraphError,
     Multigraph,
     Skeleton,
+    automorphisms,
     canonical_form,
     cycle_graph,
     subdivision,
@@ -395,9 +399,10 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
     still open; at a leaf every cell is fixed. Every completion of a cut
     prefix has a smaller image, so it is not least in its class and is
     never kept, while the class's least vector has no smaller image and is
-    never cut. A transposition-minimal vector need not be least, so survivors are still deduplicated
-    by canonical_form, and the classes, representatives and their order
-    are those of the unpruned enumeration.
+    never cut. A transposition-minimal vector need not be least, so
+    survivors are still deduplicated by the canonical form of their
+    residue (Skeleton.residue, loop counts as colors), and the classes,
+    representatives and their order are those of the unpruned enumeration.
     """
     if cyclomatic < 2:
         raise GraphError("skeletons here have cyclomatic number >= 2")
@@ -433,24 +438,13 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
             if remaining == 0:
                 if any(d < 3 for d in deg):
                     return
-                # the loopless part, colored by loop counts, is the key;
-                # cells are sorted, so its triples are too
-                loops = [0] * v
-                triples = []
-                for (a, b), m in zip(cells, counts):
-                    if a == b:
-                        loops[a] += m
-                    elif m:
-                        triples.append((a, b, m))
-                residue = Multigraph(v, tuple(triples))
-                if not residue.is_connected():
-                    return
-                key = canonical_form(residue, colors=loops)
-                if key not in found:
-                    slots = []
-                    for cell, m in zip(cells, counts):
-                        slots.extend([cell] * m)
-                    found[key] = Skeleton(v, tuple(slots))
+                slots = []
+                for cell, m in zip(cells, counts):
+                    slots += [cell] * m
+                skel = Skeleton(v, tuple(slots))
+                residue, loops = skel.residue()
+                if residue.is_connected():
+                    found.setdefault(canonical_form(residue, colors=loops), skel)
                 return
             if idx == len(cells):
                 return
@@ -501,7 +495,10 @@ class _Sweep:
 
     Built once per skeleton and process by ``_sweep_of``, so every query
     reuses the terms, the slot split, the minimal lengths and, once some
-    query has hits, the automorphisms.
+    query has hits, the automorphisms: those of the skeleton's residue
+    that keep its loop counts, closed by graph_core.automorphisms from the
+    ones canonical_form's search meets. Missing ones could only keep
+    duplicate witnesses, never drop a class, so no verdict depends on them.
 
     Witnesses are deduplicated without canonical forms (``orbit_least``).
     Suppressing the degree-2 vertices of a subdivision is canonical, so
@@ -538,15 +535,11 @@ class _Sweep:
         self.suffix_extra = [0] * (len(self.cycle_idx) + 1)
         for j in range(len(self.cycle_idx) - 1, -1, -1):
             self.suffix_extra[j] = self.suffix_extra[j + 1] + self.floors[self.cycle_idx[j]] - 1
-        self.mins = []
-        seen_one: set[tuple[int, int]] = set()
-        for i, cell in enumerate(self.slots):
-            if cell in self.parallel_classes and cell in seen_one:
-                self.mins.append(2)
-            else:
-                if cell in self.parallel_classes:
-                    seen_one.add(cell)
-                self.mins.append(self.floors[i])
+        # the first slot of a parallel class may have length 1, the others 2
+        self.mins = list(self.floors)
+        for idxs in self.parallel_classes.values():
+            for i in idxs[1:]:
+                self.mins[i] = 2
         self._automorphisms: list[tuple[int, ...]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
@@ -568,37 +561,10 @@ class _Sweep:
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Vertex permutations of the skeleton that keep the slot count of
-        every cell, loops included; computed on first use and cached."""
+        every cell, loops included: the automorphisms of its residue that
+        keep the loop counts. Computed on first use and cached."""
         if self._automorphisms is None:
-            v = self.skeleton.vertex_count
-            mult = {cell: len(idxs) for cell, idxs in self.cells.items()}
-            sig = [
-                (self.skeleton.degree(x), mult.get((x, x), 0)) for x in range(v)
-            ]
-            image = [0] * v
-            used = [False] * v
-            found: list[tuple[int, ...]] = []
-
-            def extend(x: int) -> None:
-                if x == v:
-                    found.append(tuple(image))
-                    return
-                for y in range(v):
-                    if used[y] or sig[y] != sig[x]:
-                        continue
-                    if any(
-                        mult.get((w, x), 0)
-                        != mult.get((min(image[w], y), max(image[w], y)), 0)
-                        for w in range(x)
-                    ):
-                        continue
-                    image[x] = y
-                    used[y] = True
-                    extend(x + 1)
-                    used[y] = False
-
-            extend(0)
-            self._automorphisms = found
+            self._automorphisms = automorphisms(*self.skeleton.residue())
         return self._automorphisms
 
     def orbit_least(self, hits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -728,28 +694,8 @@ def _sweep_of(skeleton: Skeleton) -> _Sweep:
     return _Sweep(skeleton)
 
 
-@dataclass
-class SkeletonAudit:
-    skeleton: Skeleton
-    min_tau: TreeCount
-    min_vertices: int
-    status: str  # "swept" | "pruned_tau" | "pruned_budget"
-    assignments_tried: int = 0
-    witnesses: list[Multigraph] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "skeleton": self.skeleton.describe(),
-            "cyclomatic": self.skeleton.cyclomatic,
-            "min_tau": str(self.min_tau),
-            "min_vertices": self.min_vertices,
-            "status": self.status,
-            "assignments_tried": self.assignments_tried,
-            "witnesses": [
-                {"vertices": g.vertex_count, "edges": list(g.edges)}
-                for g in self.witnesses
-            ],
-        }
+def _graph_dict(g: Multigraph) -> dict:
+    return {"vertices": g.vertex_count, "edges": list(g.edges)}
 
 
 @dataclass
@@ -767,10 +713,7 @@ class FixedPointReport:
             "n": self.n,
             "vertex_budget": self.vertex_budget,
             "proved": self.proved,
-            "witnesses": [
-                {"vertices": g.vertex_count, "edges": list(g.edges)}
-                for g in self.witnesses
-            ],
+            "witnesses": [_graph_dict(g) for g in self.witnesses],
             "reduction": (
                 "a witness below budget may be assumed to have minimum degree 2 "
                 "(deleting a pendant vertex keeps the tree count); such a graph "
@@ -819,7 +762,7 @@ def verify_no_smaller_graph(
                 f"n = {n} needs skeletons of cyclomatic number {c}, "
                 f"above the enumeration ceiling {SKELETON_CEILING}"
             )
-        audits = []
+        entries = []
         level_min: TreeCount | None = None
         for skel in enumerate_skeletons(c):
             sweep = _sweep_of(skel)
@@ -827,14 +770,22 @@ def verify_no_smaller_graph(
             mv = sweep.min_vertices()
             if level_min is None or mt < level_min:
                 level_min = mt
-            audit = SkeletonAudit(skel, mt, mv, "swept")
+            entry = {
+                "skeleton": skel.describe(),
+                "cyclomatic": c,
+                "min_tau": str(mt),
+                "min_vertices": mv,
+                "status": "swept",
+                "assignments_tried": 0,
+                "witnesses": [],
+            }
             if mt > n:
-                audit.status = "pruned_tau"
+                entry["status"] = "pruned_tau"
             elif mv >= vertex_budget:
-                audit.status = "pruned_budget"
+                entry["status"] = "pruned_budget"
             else:
                 tried, hits = sweep.find_assignments(n, vertex_budget)
-                audit.assignments_tried = tried
+                entry["assignments_tried"] = tried
                 for vec in sweep.orbit_least(hits):
                     if len(witnesses) == max_witnesses:
                         raise GraphError(
@@ -843,16 +794,10 @@ def verify_no_smaller_graph(
                             f"above max_witnesses {max_witnesses}"
                         )
                     g = sweep.build(vec)
-                    audit.witnesses.append(g)
+                    entry["witnesses"].append(_graph_dict(g))
                     witnesses.append(g)
-            audits.append(audit)
-        levels.append(
-            {
-                "cyclomatic": c,
-                "min_tau": str(level_min),
-                "skeletons": [a.to_dict() for a in audits],
-            }
-        )
+            entries.append(entry)
+        levels.append({"cyclomatic": c, "min_tau": str(level_min), "skeletons": entries})
         if level_min is not None and level_min > n:
             stop_reason = (
                 f"minimum count over cyclomatic number {c} is {level_min} > {n}; "

@@ -86,6 +86,11 @@ TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 #: Entries the per-thread deletion-contraction memo keeps (LRU).
 DEFAULT_MEMO_CAP = 1 << 20
 
+#: Most new cores one tau_dc call may add to the memo. C_40^2 adds 1,508,
+#: the 6x6 grid 19,584 (5 s); the 16x16 grid stops after 19 s at 71 MB, and
+#: a 32-vertex cubic graph would add 258,857 (CPU time, 2-vCPU VM).
+DC_CORE_CEILING = 1 << 16
+
 #: Least size of a complete live block that tau_matrix finishes as a dense
 #: list-of-lists elimination. Smaller complete blocks, such as the last two
 #: or three rows of nearly every small graph, eliminate faster as dicts than
@@ -349,8 +354,9 @@ def _weighted(g: Multigraph, weight) -> dict:
     return adj
 
 
-def _tau_dc_core(adj: dict, table: OrderedDict, cap: int) -> TreeCount:
-    # adj is connected; it is reduced and then consumed
+def _tau_dc_core(adj: dict, table: OrderedDict, fresh: list[int]) -> TreeCount:
+    # adj is connected; it is reduced and then consumed. fresh[0] counts
+    # the new cores this tau_dc call may still add to the table.
     factor = _reduce(adj)
     if len(adj) == 1:
         return factor
@@ -365,12 +371,18 @@ def _tau_dc_core(adj: dict, table: OrderedDict, cap: int) -> TreeCount:
     if hit is not None:
         table.move_to_end(key)
         return factor * hit
+    fresh[0] -= 1
+    if fresh[0] < 0:
+        raise GraphError(
+            f"deletion-contraction needs more than {DC_CORE_CEILING} new memo "
+            "entries; use the matrix method"
+        )
 
     blocks = biconnected_components(g)
     if len(blocks) > 1:
         value = 1
         for b in blocks:
-            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table, cap)
+            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table, fresh)
     else:
         # a 2-connected core: G - e stays connected
         u = min(adj)
@@ -381,10 +393,10 @@ def _tau_dc_core(adj: dict, table: OrderedDict, cap: int) -> TreeCount:
         for y, w in contracted.pop(v).items():
             del contracted[y][v]
             _join(contracted, u, y, w)
-        value = t * _tau_dc_core(contracted, table, cap) + f * _tau_dc_core(adj, table, cap)
+        value = t * _tau_dc_core(contracted, table, fresh) + f * _tau_dc_core(adj, table, fresh)
 
     table[key] = value
-    if len(table) > cap:
+    if len(table) > DEFAULT_MEMO_CAP:
         table.popitem(last=False)
     return factor * value
 
@@ -393,10 +405,11 @@ def tau_dc(g: Multigraph) -> TreeCount:
     """Spanning-tree count by deletion-contraction on (t, f)-weighted edges.
 
     Pendant vertices and vertices with two neighbours reduce away without
-    recursing; only the core left recurses, and running out of stack there
-    raises GraphError. The memo is per-thread (so concurrent callers never
-    contend or deadlock), keeps the DEFAULT_MEMO_CAP most recently used
-    cores, and keys each on its canonical form and its weights by value.
+    recursing; only the core left recurses. Running out of stack there, or
+    meeting more than DC_CORE_CEILING cores not yet in the memo, raises
+    GraphError. The memo is per-thread (so concurrent callers never contend
+    or deadlock), keeps the DEFAULT_MEMO_CAP most recently used cores, and
+    keys each on its canonical form and its weights by value.
     """
     n = g.vertex_count
     if n < 1:
@@ -404,7 +417,7 @@ def tau_dc(g: Multigraph) -> TreeCount:
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
     try:
-        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), _memo(), DEFAULT_MEMO_CAP)
+        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), _memo(), [DC_CORE_CEILING])
     except RecursionError:
         raise GraphError(
             f"deletion-contraction recursion too deep on {n} vertices; use the matrix method"

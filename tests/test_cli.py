@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treeforge import cli
+from treeforge import cli, tree_count
 from treeforge.cli import main
 from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
 from treeforge.graphio import format_edge_list, format_graph6
@@ -220,6 +220,8 @@ def test_idoneal_commands(capsys):
         ("beta", "25", "--max-edges", "13"),
         ("fixedpoint", "40"),
         ("fixedpoint", "27", "--max-witnesses", "441"),
+        ("verify", "bounds", "--limit", "0"),
+        ("verify", "bounds", "--limit", "2"),
     ],
     ids=" ".join,
 )
@@ -244,6 +246,16 @@ def test_count_dc_too_deep_exit_2(tmp_path, capsys, recursion_limit):
     assert "recursion too deep" in err
 
 
+def test_count_dc_core_ceiling_exit_2(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "grid.txt"
+    f.write_text(format_edge_list(grid_graph(5, 5)))
+    monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 100)
+    tree_count.clear_memo()
+    code, out, err = run(capsys, "count", str(f), "--method", "both")
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert "matrix method" in err
+
+
 def test_verify_table1(capsys):
     code, out, _ = run(capsys, "verify", "table1")
     assert code == 0 and "0 failures" in out
@@ -257,8 +269,14 @@ def test_verify_lemma1(capsys):
 
 
 def test_verify_fixedpoints(capsys):
-    code, out, _ = run(capsys, "verify", "fixedpoints")
-    assert code == 0
+    code, out, _ = run(capsys, "verify", "fixedpoints", "--json")
+    doc = json.loads(out)["outputs"]
+    assert code == 0 and doc["checked"] == 8 and doc["failures"] == []
+
+
+def test_verify_bounds_counts_its_checks(capsys):
+    code, out, _ = run(capsys, "verify", "bounds", "--limit", "3", "--json")
+    assert code == 0 and json.loads(out)["outputs"]["checked"] == 1
 
 
 def test_verify_bounds_small_range(capsys):

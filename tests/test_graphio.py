@@ -39,6 +39,17 @@ def test_edge_list_rejects_loop_with_location():
         parse_edge_list("p 3\n1 1\n")
 
 
+@pytest.mark.parametrize("entry", [(1, 1, 1), (0, 3, 1), (-1, 2, 1), (0, 1, 0)])
+def test_edge_errors_match_from_edges(entry):
+    # the parser checks each line itself, with from_edges' messages; the
+    # first bad line is reported, also before a later non-integer line
+    with pytest.raises(GraphError) as want:
+        Multigraph.from_edges(3, [entry])
+    with pytest.raises(ParseError) as got:
+        parse_edge_list("p 3\n0 1\n%d %d %d\n0 x\n" % entry)
+    assert str(got.value) == f"line 3: {want.value}"
+
+
 def test_graph6_round_trip():
     for g in (cycle_graph(5), complete_graph(6), Multigraph(3, ()), Multigraph(1, ())):
         assert parse_graph6(format_graph6(g)) == g

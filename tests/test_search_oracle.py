@@ -1,5 +1,6 @@
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from treeforge.graph_core import (
     GraphError,
     Multigraph,
     are_isomorphic,
+    automorphisms,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -352,8 +354,7 @@ class TestSkeletons:
                 sweep = _Sweep(s)
                 base = [l + 1 for l in sweep.min_lengths()]
                 t0 = sweep.tau(base)
-                non_loop = [(u, v) for u, v in s.slots if u != v]
-                residue = Multigraph.from_edges(s.vertex_count, non_loop) if non_loop else Multigraph(s.vertex_count, ())
+                residue, _ = s.residue()
                 bridge_pairs = set(bridges(residue))
                 for i, (u, v) in enumerate(s.slots):
                     bumped = list(base)
@@ -435,6 +436,68 @@ class TestOrbits:
                     if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in cells) == cells
                 ]
                 assert _Sweep(s).automorphisms() == want, s.describe()
+
+    def test_automorphisms_level_5_against_signature_permutations(self):
+        # every permutation that keeps each vertex's (degree, loop count),
+        # tried against the slot multiset
+        for s in enumerate_skeletons(5):
+            v = s.vertex_count
+            assert v <= 8
+            mult = Counter(s.slots)
+            classes: dict = {}
+            for x in range(v):
+                classes.setdefault((s.degree(x), mult[(x, x)]), []).append(x)
+            groups = list(classes.values())
+            want = []
+            for images in product(*(permutations(g) for g in groups)):
+                perm = [0] * v
+                for g, img in zip(groups, images):
+                    for x, y in zip(g, img):
+                        perm[x] = y
+                if all(
+                    mult[(perm[a], perm[b]) if perm[a] <= perm[b] else (perm[b], perm[a])] == m
+                    for (a, b), m in mult.items()
+                ):
+                    want.append(tuple(perm))
+            assert _Sweep(s).automorphisms() == sorted(want), s.describe()
+
+    @pytest.mark.parametrize(
+        "name, pairs, order",
+        [
+            ("Q4", [(i, i ^ b) for i in range(16) for b in (1, 2, 4, 8) if i < i ^ b], 384),
+            (
+                "C8xK2",
+                [(i, (i + 1) % 8) for i in range(8)]
+                + [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
+                + [(i, 8 + i) for i in range(8)],
+                32,
+            ),
+            (
+                "Moebius-Kantor",
+                [(i, (i + 1) % 8) for i in range(8)]
+                + [(i, 8 + i) for i in range(8)]
+                + [(8 + i, 8 + (i + 3) % 8) for i in range(8)],
+                96,
+            ),
+            (
+                "Petersen",
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(i, 5 + i) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+                120,
+            ),
+        ],
+    )
+    def test_automorphism_groups_of_cubic_skeletons(self, name, pairs, order):
+        # called on the residue, not through _Sweep, whose tree terms test
+        # C(24, 15) slot subsets at 16 vertices
+        cells = sorted((min(a, b), max(a, b)) for a, b in pairs)
+        s = Skeleton(1 + max(map(max, cells)), tuple(cells))
+        group = automorphisms(*s.residue())
+        assert len(group) == order, name
+        assert group[0] == tuple(range(s.vertex_count))
+        for perm in group:
+            assert sorted(tuple(sorted((perm[a], perm[b]))) for a, b in cells) == cells
 
     @pytest.mark.parametrize("n", range(12, 40))
     def test_witnesses_equal_canonical_dedup(self, n):

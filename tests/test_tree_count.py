@@ -340,6 +340,20 @@ class TestTauDC:
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
 
+    def test_core_ceiling(self, monkeypatch):
+        # the 5x5 grid adds exactly 884 cores to a cold memo
+        grid = grid_graph(5, 5)
+        monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 883)
+        clear_memo()
+        with pytest.raises(GraphError, match="matrix method"):
+            tau_dc(grid)
+        monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 884)
+        clear_memo()
+        assert tau_dc(grid) == tau_matrix(grid)
+        assert len(tree_count._memo()) == 884
+        # the ceiling counts new cores per call, not the memo's size
+        assert tau_dc(grid) == tau_matrix(grid)
+
     def test_long_path_strips_in_linear_time(self, recursion_limit):
         # the pendant and series rules reduce these to one vertex without
         # recursing: a path, a cycle, a theta and a bouquet of triangles
