@@ -29,6 +29,7 @@ from .idoneal import idoneal_numbers_up_to, strict_representations
 from .minimal_builder import (
     BETA_EXCEPTIONS,
     FIXED_POINTS,
+    BoundReport,
     Witness,
     build_witness,
     check_bounds,
@@ -46,6 +47,9 @@ from .tree_count import tau_dc, tau_matrix
 #: n, so this is a 100 MB array), and the largest n that `idoneal N`
 #: accepts (listing the representations of n takes Theta(n) time).
 IDONEAL_SCAN_MAX = 10**8
+
+#: Range of `verify bounds` when --limit is not given.
+VERIFY_BOUNDS_LIMIT = 10_000
 
 
 def _report(command: str, inputs: dict, outputs: dict, started: float) -> dict:
@@ -116,13 +120,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     report = check_bounds(args.n, w)
     outputs = {
         "witness": _witness_dict(w),
-        "bounds": {
-            "edges_le_third": report.bound_third,
-            "edges_le_quarter": report.bound_quarter,
-            "vertices_le_third": report.vertex_bound_third,
-            "vertices_le_quarter": report.vertex_bound_quarter,
-            "exception_class": report.exception_class.value,
-        },
+        "bounds": _bound_flags(report),
     }
     human = (
         f"n={args.n}: {w.edges} edges, {w.vertices} vertices via {w.strategy.value}"
@@ -133,20 +131,26 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bound_flags(r: BoundReport) -> dict:
+    """The bound checks of a witness report and its exception class."""
+    return {
+        "edges_le_third": r.bound_third,
+        "edges_le_quarter": r.bound_quarter,
+        "vertices_le_third": r.vertex_bound_third,
+        "vertices_le_quarter": r.vertex_bound_quarter,
+        "exception_class": r.exception_class.value,
+    }
+
+
 def _scan_row(n: int) -> dict:
     w = build_witness(n)
-    r = check_bounds(n, w)
     return {
         "n": n,
         "tau": str(w.tau),
         "edges": w.edges,
         "vertices": w.vertices,
         "strategy": w.strategy.value,
-        "edges_le_third": r.bound_third,
-        "edges_le_quarter": r.bound_quarter,
-        "vertices_le_third": r.vertex_bound_third,
-        "vertices_le_quarter": r.vertex_bound_quarter,
-        "exception_class": r.exception_class.value,
+        **_bound_flags(check_bounds(n, w)),
     }
 
 
@@ -318,15 +322,19 @@ def _verify_fixedpoints() -> tuple[int, list[dict]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.limit is not None and args.suite != "bounds":
+        print(f"--limit applies to the bounds suite only, not {args.suite}", file=sys.stderr)
+        return 2
     if args.suite == "table1":
         checked, failures = _verify_variants(TABLE1_ROWS)
     elif args.suite == "lemma1":
         checked, failures = _verify_variants((s, None) for s in iter_variant_specs(12))
     elif args.suite == "bounds":
-        if args.limit < 3:
+        limit = VERIFY_BOUNDS_LIMIT if args.limit is None else args.limit
+        if limit < 3:
             print("verify bounds needs --limit >= 3", file=sys.stderr)
             return 2
-        checked, failures = _verify_bounds(args.limit)
+        checked, failures = _verify_bounds(limit)
     elif args.suite == "fixedpoints":
         checked, failures = _verify_fixedpoints()
     else:  # unreachable thanks to argparse choices
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("verify", help="run a named acceptance suite", parents=[common])
     c.add_argument("suite", choices=["table1", "lemma1", "bounds", "fixedpoints"])
-    c.add_argument("--limit", type=int, default=10000, help="range for the bounds suite")
+    c.add_argument("--limit", type=int, help=f"bounds suite only: its range (default {VERIFY_BOUNDS_LIMIT})")
     c.set_defaults(func=cmd_verify)
 
     return p

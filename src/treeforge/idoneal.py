@@ -5,20 +5,21 @@ n is idoneal iff it has no representation n = ab + ac + bc with
 further one is known; the scan here confirms there is none up to any
 desk-scale limit.
 
-The search bounds are part of the contract: a < sqrt(n/3) because
-n = ab+ac+bc > 3a^2 for a < b < c, and for fixed a, b runs while
-2ab + b^2 < n (equivalent to c > b), with c = (n - ab)/(a + b) accepted
-when the division is exact.
-
 theta_representations relaxes the strict ordering to 1 <= a <= b <= c with
 at most one value equal to 1: exactly the parameter triples for which the
 theta graph is simple.
 
-Both fast paths rest on the identity n + a^2 = (a + b)(a + c). For fixed a,
+Every search rests on the identity n + a^2 = (a + b)(a + c). For fixed a,
 the triples are the divisor pairs d * e = N = n + a^2 with d = a + b and
 e = a + c, so b <= c is d <= sqrt(N), b >= a is d >= 2a (d >= 3 when a = 1,
-which keeps b >= 2), and the theta has a + b + c = d + N/d - a edges.
+which keeps b >= 2), and the theta has a + b + c = d + N/d - a edges. The
+bounds are part of the contract: a < sqrt(n/3), because n > 3a^2 for
+a < b < c (a <= sqrt(n/3) when b and c may equal a), and b < c is d^2 < N.
 
+- _divisor_pairs lists the triples for each a in turn, d rising from its
+  least value while d^2 < N (d^2 <= N for thetas). strict_representations
+  and theta_representations take every triple; is_idoneal and the sieve's
+  survivor check stop at the first.
 - cheapest_theta scans d downward from isqrt(N). d + N/d falls strictly as
   d rises towards sqrt(N), so the first divisor found is the cheapest
   theta for that a. A scan stops once d + N/d - a exceeds the best sum so
@@ -59,30 +60,34 @@ EULER_IDONEAL_NUMBERS = frozenset(
 )
 
 
+def _divisor_pairs(n: int, strict: bool, a: int = 1):
+    """Representations of n with smallest value at least a, from the divisor
+    pairs d * e = n + a^2 with d = a + b <= e = a + c, in lex order: those
+    with a < b < c if strict, else those with a <= b <= c and b >= 2."""
+    slack = 0 if strict else 1  # admits 3a^2 = n and d = e
+    top = n + slack
+    while 3 * a * a < top:
+        big = n + a * a
+        bound = big + slack
+        d = 2 * a + 1 - slack if a > 1 else 3
+        while d * d < bound:
+            if big % d == 0:
+                yield Representation(a, d - a, big // d - a)
+            d += 1
+        a += 1
+
+
 def strict_representations(n: int) -> list[Representation]:
     """All (a, b, c) with 0 < a < b < c and ab + ac + bc = n, lex ordered."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    a = 1
-    while 3 * a * a < n:
-        b = a + 1
-        while 2 * a * b + b * b < n:
-            num = n - a * b
-            den = a + b
-            if num % den == 0:
-                c = num // den
-                if c > b:
-                    out.append(Representation(a, b, c))
-            b += 1
-        a += 1
-    return out
+    return list(_divisor_pairs(n, True))
 
 
 def is_idoneal(n: int) -> bool:
     if n < 1:
         raise ValueError("n must be positive")
-    return not strict_representations(n)
+    return not _has_strict_representation_from(n, 1)
 
 
 def theta_representations(n: int) -> list[Representation]:
@@ -93,20 +98,7 @@ def theta_representations(n: int) -> list[Representation]:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    out = []
-    a = 1
-    while 3 * a * a <= n:
-        b = max(a, 2) if a == 1 else a  # a = b = 1 is excluded
-        while 2 * a * b + b * b <= n:
-            num = n - a * b
-            den = a + b
-            if num % den == 0:
-                c = num // den
-                if c >= b:
-                    out.append(Representation(a, b, c))
-            b += 1
-        a += 1
-    return sorted(out, key=lambda r: (r.a + r.b + r.c, r))
+    return sorted(_divisor_pairs(n, False), key=lambda r: (r.a + r.b + r.c, r))
 
 
 def cheapest_theta(n: int) -> Representation | None:
@@ -174,15 +166,7 @@ def _unmarked(sieve: bytearray):
 
 def _has_strict_representation_from(n: int, a: int) -> bool:
     """Whether n = ab + ac + bc for some a' >= a and a' < b < c."""
-    while 3 * a * a < n:
-        big = n + a * a
-        d = 2 * a + 1
-        while d * d < big:
-            if big % d == 0:
-                return True
-            d += 1
-        a += 1
-    return False
+    return next(_divisor_pairs(n, True, a), None) is not None
 
 
 def idoneal_numbers_up_to(limit: int) -> list[int]:

@@ -46,7 +46,8 @@ network reliability (Colbourn, 1987), then run without recursing: a pendant
 vertex gives a factor t, and a vertex with two neighbours a and b becomes
 the edge (t1 t2, t1 f2 + f1 t2) between a and b. The core left, of minimum
 degree 3, is memoized under its canonical form with each pair's multiplicity
-set to the rank of its weight, plus the sorted weights themselves. A core of
+set to the rank of its weight, plus the sorted weights themselves, in one
+table per call that holds at most DC_CORE_CEILING cores. A core of
 several blocks is their product; a single block recurses on one edge e as
 tau = t_e tau(G / e) + f_e tau(G - e). So trees, cycles, thetas and
 bouquets of cycles never recurse, and only the reduced core does.
@@ -65,8 +66,6 @@ cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Sequence
@@ -83,13 +82,13 @@ from .graph_core import (
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 
-#: Entries the per-thread deletion-contraction memo keeps (LRU).
-DEFAULT_MEMO_CAP = 1 << 20
-
-#: Most new cores one tau_dc call may add to the memo. C_40^2 adds 1,508,
-#: the 6x6 grid 19,584 (5 s); the 16x16 grid stops after 19 s at 71 MB, and
-#: a 32-vertex cubic graph would add 258,857 (CPU time, 2-vCPU VM).
+#: Most cores one tau_dc call may memoize. C_40^2 has 1,508, the 6x6 grid
+#: 19,584 (5 s); the 16x16 grid stops after 19 s at 71 MB, and a 32-vertex
+#: cubic graph would need 258,857 (CPU time, 2-vCPU VM).
 DC_CORE_CEILING = 1 << 16
+
+#: Kept for the benchmark's traced pass, which reads it: no table holds more.
+DEFAULT_MEMO_CAP = DC_CORE_CEILING
 
 #: Least size of a complete live block that tau_matrix finishes as a dense
 #: list-of-lists elimination. Smaller complete blocks, such as the last two
@@ -223,7 +222,7 @@ def _core_cofactor(adj: dict) -> TreeCount:
     while rows:
         if chained is None:
             while True:
-                size, p = heappop(heap)  # never empty: every live row has a fresh entry
+                size, p = heappop(heap)  # never empty: every live row has a current entry
                 prow = rows.get(p)
                 if prow is not None and len(prow) == size:
                     break
@@ -301,20 +300,6 @@ def _dense_bareiss(block: list[list[int]], prev: int) -> TreeCount:
 # ---------------------------------------------------------------------------
 # deletion-contraction
 
-_local = threading.local()
-
-
-def _memo() -> OrderedDict:
-    if not hasattr(_local, "table"):
-        _local.table = OrderedDict()
-    return _local.table
-
-
-def clear_memo() -> None:
-    """Drop this thread's memo table (mainly for tests)."""
-    _local.table = OrderedDict()
-
-
 def _join(adj: dict, a: int, b: int, w: tuple[int, int]) -> None:
     """Add the edge a-b of weight w = (t, f), merged with a parallel one."""
     old = adj[a].get(b)
@@ -354,9 +339,11 @@ def _weighted(g: Multigraph, weight) -> dict:
     return adj
 
 
-def _tau_dc_core(adj: dict, table: OrderedDict, fresh: list[int]) -> TreeCount:
-    # adj is connected; it is reduced and then consumed. fresh[0] counts
-    # the new cores this tau_dc call may still add to the table.
+def _tau_dc_core(adj: dict, table: dict) -> TreeCount:
+    # adj is connected; it is reduced and then consumed. table maps the key
+    # of every core this tau_dc call has met to its count, or to None while
+    # the count is being computed: every core below has fewer vertices or
+    # fewer adjacent pairs, so it never meets its own key again.
     factor = _reduce(adj)
     if len(adj) == 1:
         return factor
@@ -369,20 +356,19 @@ def _tau_dc_core(adj: dict, table: OrderedDict, fresh: list[int]) -> TreeCount:
     key = (canonical_form(g), tuple(weights))
     hit = table.get(key)
     if hit is not None:
-        table.move_to_end(key)
         return factor * hit
-    fresh[0] -= 1
-    if fresh[0] < 0:
+    if len(table) >= DC_CORE_CEILING:
         raise GraphError(
             f"deletion-contraction needs more than {DC_CORE_CEILING} new memo "
             "entries; use the matrix method"
         )
+    table[key] = None
 
     blocks = biconnected_components(g)
     if len(blocks) > 1:
         value = 1
         for b in blocks:
-            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table, fresh)
+            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table)
     else:
         # a 2-connected core: G - e stays connected
         u = min(adj)
@@ -393,11 +379,9 @@ def _tau_dc_core(adj: dict, table: OrderedDict, fresh: list[int]) -> TreeCount:
         for y, w in contracted.pop(v).items():
             del contracted[y][v]
             _join(contracted, u, y, w)
-        value = t * _tau_dc_core(contracted, table, fresh) + f * _tau_dc_core(adj, table, fresh)
+        value = t * _tau_dc_core(contracted, table) + f * _tau_dc_core(adj, table)
 
     table[key] = value
-    if len(table) > DEFAULT_MEMO_CAP:
-        table.popitem(last=False)
     return factor * value
 
 
@@ -405,11 +389,11 @@ def tau_dc(g: Multigraph) -> TreeCount:
     """Spanning-tree count by deletion-contraction on (t, f)-weighted edges.
 
     Pendant vertices and vertices with two neighbours reduce away without
-    recursing; only the core left recurses. Running out of stack there, or
-    meeting more than DC_CORE_CEILING cores not yet in the memo, raises
-    GraphError. The memo is per-thread (so concurrent callers never contend
-    or deadlock), keeps the DEFAULT_MEMO_CAP most recently used cores, and
-    keys each on its canonical form and its weights by value.
+    recursing; only the core left recurses. Each call keeps its own memo,
+    which keys each core on its canonical form and its weights by value and
+    is dropped when the call returns, so the result and the cost depend on
+    g alone. Running out of stack, or meeting more than DC_CORE_CEILING
+    distinct cores, raises GraphError.
     """
     n = g.vertex_count
     if n < 1:
@@ -417,7 +401,7 @@ def tau_dc(g: Multigraph) -> TreeCount:
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
     try:
-        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), _memo(), [DC_CORE_CEILING])
+        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), {})
     except RecursionError:
         raise GraphError(
             f"deletion-contraction recursion too deep on {n} vertices; use the matrix method"

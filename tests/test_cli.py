@@ -222,6 +222,7 @@ def test_idoneal_commands(capsys):
         ("fixedpoint", "27", "--max-witnesses", "441"),
         ("verify", "bounds", "--limit", "0"),
         ("verify", "bounds", "--limit", "2"),
+        ("verify", "table1", "--limit", "5"),
     ],
     ids=" ".join,
 )
@@ -250,7 +251,6 @@ def test_count_dc_core_ceiling_exit_2(tmp_path, capsys, monkeypatch):
     f = tmp_path / "grid.txt"
     f.write_text(format_edge_list(grid_graph(5, 5)))
     monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 100)
-    tree_count.clear_memo()
     code, out, err = run(capsys, "count", str(f), "--method", "both")
     assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
     assert "matrix method" in err

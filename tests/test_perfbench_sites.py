@@ -1,6 +1,7 @@
 """The traced benchmark passes patch module attributes by name
 (perfbench/spans.py). A rename in src/ would only surface there, in a
-traced run, so check here that every patched attribute exists."""
+traced run, so check here that every patched attribute exists, and that
+the module constants perfbench/worker.py reads are still there."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,11 @@ def test_every_traced_site_exists():
         if not callable(getattr(module, attribute, None))
     ]
     assert missing == []
+
+
+def test_worker_reads_memo_cap():
+    # perfbench/worker.py reads this in every traced pass
+    from treeforge import tree_count
+
+    cap = getattr(tree_count, "DEFAULT_MEMO_CAP", None)
+    assert isinstance(cap, int) and cap >= 1

@@ -18,7 +18,7 @@ from treeforge.graph_core import (
 from treeforge import tree_count
 from treeforge.minimal_builder import build_witness
 from treeforge.search_oracle import _Sweep, enumerate_skeletons
-from treeforge.tree_count import clear_memo, tau_dc, tau_matrix, tau_subdivision
+from treeforge.tree_count import tau_dc, tau_matrix, tau_subdivision
 
 from oracles import (
     brute_tau,
@@ -156,9 +156,8 @@ class TestTauMatrix:
         for floor in (tree_count.DENSE_TAIL_MIN, 1):
             monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
             assert [tau_matrix(g) for g in graphs] == expected
-        # one memo for all of them: a key that lost a weight placement would
-        # hand one graph's core count to another
-        clear_memo()
+        # keys stay sound within each call, over all 2,000 graphs: a key that
+        # lost a weight placement would hand one core's count to another
         assert [tau_dc(g) for g in graphs] == expected
 
     def test_large_sparse_subdivision(self):
@@ -329,29 +328,31 @@ class TestTauDC:
             g = random_connected_multigraph(rng, max_vertices=7)
             assert tau_dc(g) == tau_matrix(g)
 
-    def test_small_memo_cap_still_correct(self, rng, monkeypatch):
-        monkeypatch.setattr(tree_count, "DEFAULT_MEMO_CAP", 4)
-        clear_memo()
-        for _ in range(20):
-            g = random_connected_multigraph(rng, max_vertices=6)
-            assert tau_dc(g) == tau_matrix(g)
-            assert len(tree_count._memo()) <= 4
+    def test_ceiling_independent_of_earlier_calls(self, rng, monkeypatch):
+        # the 5x5 grid meets exactly 884 cores in every call: first, right
+        # after counting the grid, and after counting other graphs
+        grid = grid_graph(5, 5)
+        expected = tau_matrix(grid)
+        others = [random_connected_multigraph(rng, max_vertices=7) for _ in range(20)]
+        for before in ([], [grid], others):
+            for g in before:
+                assert tau_dc(g) == tau_matrix(g)
+            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 883)
+            with pytest.raises(GraphError, match="matrix method"):
+                tau_dc(grid)
+            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 884)
+            assert tau_dc(grid) == expected
 
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
 
     def test_core_ceiling(self, monkeypatch):
-        # the 5x5 grid adds exactly 884 cores to a cold memo
+        # the 5x5 grid meets exactly 884 distinct cores
         grid = grid_graph(5, 5)
         monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 883)
-        clear_memo()
         with pytest.raises(GraphError, match="matrix method"):
             tau_dc(grid)
         monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 884)
-        clear_memo()
-        assert tau_dc(grid) == tau_matrix(grid)
-        assert len(tree_count._memo()) == 884
-        # the ceiling counts new cores per call, not the memo's size
         assert tau_dc(grid) == tau_matrix(grid)
 
     def test_long_path_strips_in_linear_time(self, recursion_limit):
@@ -531,7 +532,7 @@ def test_exhaustive_cross_validation_small():
 
 
 def test_tau_dc_concurrent_callers():
-    # per-thread memo tables: correct values, no contention or deadlock
+    # a memo table per call: correct values, no contention or deadlock
     from concurrent.futures import ThreadPoolExecutor
 
     graphs = [complete_graph(5), cycle_graph(9), square_of_cycle(6)]
