@@ -289,9 +289,9 @@ def _verify_variants(rows) -> tuple[int, list[dict]]:
 def _verify_bounds(limit: int) -> tuple[int, list[dict]]:
     """Exceptional n must break the edge-and-vertex bound pair (for n = 3
     only the vertex half fails: 3 <= (3+7)/3 already holds), every other n
-    must satisfy both, and the quarter bounds must hold in their scope.
-    The fixed points sit outside the quarter scope because their minimum is
-    n itself."""
+    must satisfy both, and the quarter bounds must hold on
+    `in_quarter_scope`. That scope leaves out every exceptional n, the
+    fixed points 10 and 22 among them, whose minimum is n itself."""
     failures = []
     for n in range(3, limit + 1):
         w = build_witness(n)

@@ -80,7 +80,9 @@ class VariantSpec:
             raise GraphError(f"unknown variant kind {self.kind!r}")
         if min(self.a, self.b, self.c, self.d) < 1:
             raise GraphError("variant path lengths must be positive")
-        err = variant_constraint_violation(self)
+        err = _violation(
+            self.kind, self.a, self.b, self.c, self.d, self.a1, self.a2, self.b1
+        )
         if err is not None:
             raise GraphError(err)
 
@@ -88,6 +90,7 @@ class VariantSpec:
 def _violation(
     kind: str, a: int, b: int, c: int, d: int, a1: int, a2: int, b1: int
 ) -> str | None:
+    """Name the violated simplicity constraint, or None if valid."""
     if b == 1 and c == 1:
         return "not simple: at most one theta path may have length 1"
     if kind == "v0":
@@ -121,11 +124,6 @@ def _violation(
     return None
 
 
-def variant_constraint_violation(s: VariantSpec) -> str | None:
-    """Name the violated simplicity constraint, or None if valid."""
-    return _violation(s.kind, s.a, s.b, s.c, s.d, s.a1, s.a2, s.b1)
-
-
 @dataclass(frozen=True)
 class BouquetSpec:
     """Cycles sharing one common vertex; every length must be >= 3."""
@@ -150,9 +148,6 @@ def tau_theta(a: int, b: int, c: int) -> TreeCount:
 
 
 def tau_variant(spec: VariantSpec) -> TreeCount:
-    err = variant_constraint_violation(spec)
-    if err is not None:
-        raise GraphError(err)
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
     base = tau_theta(a, b, c)
     if spec.kind == "v0":
@@ -219,9 +214,6 @@ def build_generalized_theta(lengths: Sequence[int]) -> Multigraph:
 
 def build_variant(spec: VariantSpec) -> Multigraph:
     """Theta graph plus the extra d-path; a+b+c+d edges, simple."""
-    err = variant_constraint_violation(spec)
-    if err is not None:
-        raise GraphError(err)
     a, b = spec.a, spec.b
     g = build_theta(ThetaSpec(a, b, spec.c))
     # vertices along the a-path and the b-path, from anchor 0 to anchor 1

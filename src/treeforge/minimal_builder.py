@@ -41,27 +41,24 @@ from .tree_count import TreeCount, tau_matrix
 #: triangle has 3 edges and 3*3 <= 3+7, so only the vertex half fails there.
 BETA_EXCEPTIONS = frozenset({3, 4, 5, 6, 7, 9, 10, 13, 18, 22})
 
-#: n excluded from the quarter bounds (besides n = 2 mod 3); together with
-#: n = 2 (mod 3), this set decides the quarter part of ExceptionClass in
-#: `check_bounds`. The scope in which the bound checks assert
-#: the quarter bounds is narrower: `in_quarter_scope` also leaves out
-#: FIXED_POINTS, of which only 10 and 22 are not already out. Whether those
-#: two belong in this constant is an open question: adding them would turn
-#: the class of 22 from BETA into BOTH and leave ExceptionClass.BETA
-#: unreachable.
-QUARTER_EXCEPTIONS = frozenset({3, 4, 6, 7, 9, 13, 18, 25})
-
 #: The n with alpha(n) = n: every graph with n trees needs n vertices and n
 #: edges, the n-cycle's. `verify fixedpoints` proves each one by
 #: search_oracle.verify_no_smaller_graph(n, n).
 FIXED_POINTS = frozenset({3, 4, 5, 6, 7, 10, 13, 22})
 
+#: n != 2 (mod 3) at which the quarter bounds need not hold. Read literally,
+#: the paper leaves out only 25, which fails at n = 4 (alpha(4) = 4 > 13/4),
+#: so its scope starts outside BETA_EXCEPTIONS. That set also holds the
+#: fixed points 10 and 22, where no graph has fewer than n edges and
+#: 4n > n + 13. Its member 5 changes nothing: 5 = 2 (mod 3).
+QUARTER_EXCEPTIONS = BETA_EXCEPTIONS | {25}
+
 
 def in_quarter_scope(n: int) -> bool:
     """Whether the quarter bounds (n+13)/4 edges and (n+9)/4 vertices are
-    expected to hold at n: n != 2 (mod 3), n outside QUARTER_EXCEPTIONS and
-    outside FIXED_POINTS, whose minimum is n itself."""
-    return n % 3 != 2 and n not in QUARTER_EXCEPTIONS and n not in FIXED_POINTS
+    expected to hold at n: n != 2 (mod 3) and n outside QUARTER_EXCEPTIONS.
+    This is the one quarter predicate; `check_bounds` classes n by it."""
+    return n % 3 != 2 and n not in QUARTER_EXCEPTIONS
 
 
 class Strategy(enum.Enum):
@@ -74,9 +71,15 @@ class Strategy(enum.Enum):
 
 
 class ExceptionClass(enum.Enum):
+    """Which bound families n is exempt from. No n is exempt from the third
+    bounds alone, since every member of BETA_EXCEPTIONS is a quarter
+    exception too."""
+
+    #: Both the third and the quarter bounds are expected to hold.
     NONE = "none"
-    BETA = "beta_exceptional"
+    #: Only the third bounds are expected: n = 2 (mod 3) or n = 25.
     QUARTER = "quarter_exceptional"
+    #: n is in BETA_EXCEPTIONS: no simple graph meets the third-bound pair.
     BOTH = "beta_and_quarter_exceptional"
 
 
@@ -92,8 +95,6 @@ class Witness:
 @dataclass(frozen=True)
 class BoundReport:
     n: int
-    beta_witness_edges: int
-    alpha_witness_vertices: int
     bound_third: bool  # edges <= (n+7)/3
     bound_quarter: bool  # edges <= (n+13)/4
     vertex_bound_third: bool  # vertices <= (n+4)/3
@@ -171,20 +172,14 @@ def build_witness(n: int) -> Witness:
 
 def check_bounds(n: int, w: Witness) -> BoundReport:
     """Recompute every bound flag from the witness counts."""
-    beta_exc = n in BETA_EXCEPTIONS
-    quarter_exc = n % 3 == 2 or n in QUARTER_EXCEPTIONS
-    if beta_exc and quarter_exc:
+    if n in BETA_EXCEPTIONS:
         cls = ExceptionClass.BOTH
-    elif beta_exc:
-        cls = ExceptionClass.BETA
-    elif quarter_exc:
-        cls = ExceptionClass.QUARTER
-    else:
+    elif in_quarter_scope(n):
         cls = ExceptionClass.NONE
+    else:
+        cls = ExceptionClass.QUARTER
     return BoundReport(
         n=n,
-        beta_witness_edges=w.edges,
-        alpha_witness_vertices=w.vertices,
         bound_third=3 * w.edges <= n + 7,
         bound_quarter=4 * w.edges <= n + 13,
         vertex_bound_third=3 * w.vertices <= n + 4,

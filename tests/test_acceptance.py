@@ -2,13 +2,10 @@
 equality (zero tolerance). Each test prints one PASS line on success; run
 with ``pytest tests/test_acceptance.py -v -s`` to see them with timings.
 
-Three checks are marked ``_as_stated``. Two of them first pinned published
-forms that no correct program can return; they now assert the corrected
-values, and their docstrings quote the form they replace with the counting
-argument against it. One, ``test_criterion_7_quarter_bound_as_stated``,
-still fails on purpose: its scope contains the fixed points 10 and 22, where
-the quarter bounds cannot hold, and whether that scope or
-``QUARTER_EXCEPTIONS`` is wrong is not settled (see its docstring).
+Three checks are marked ``_as_stated``. Each first pinned a published form
+that no correct program can return; each now asserts the corrected form, and
+its docstring quotes the form it replaces with the counting argument against
+it.
 """
 
 from __future__ import annotations
@@ -45,7 +42,9 @@ from treeforge.graph_core import (
 from treeforge.idoneal import EULER_IDONEAL_NUMBERS, representable_sieve
 from treeforge.minimal_builder import (
     BETA_EXCEPTIONS,
+    FIXED_POINTS,
     QUARTER_EXCEPTIONS,
+    ExceptionClass,
     build_witness,
     check_bounds,
     in_quarter_scope,
@@ -293,6 +292,19 @@ def test_criterion_7_certification_and_bounds(witness_bounds):
     )
 
 
+def test_criterion_7_exception_classes(witness_bounds):
+    """One quarter predicate: the class follows BETA_EXCEPTIONS and
+    in_quarter_scope alone, and no n is exempt from the third bounds only."""
+    assert FIXED_POINTS <= BETA_EXCEPTIONS
+    for n, r in witness_bounds.items():
+        if n in BETA_EXCEPTIONS:
+            assert r.exception_class is ExceptionClass.BOTH, f"n={n}"
+        elif in_quarter_scope(n):
+            assert r.exception_class is ExceptionClass.NONE, f"n={n}"
+        else:
+            assert r.exception_class is ExceptionClass.QUARTER, f"n={n}"
+
+
 def test_criterion_7_edge_bound_iff_as_stated(witness_bounds):
     """Published form: edge-count violations of (n+7)/3 are exactly the set
     {3,4,5,6,7,9,10,13,18,22}.
@@ -314,17 +326,22 @@ def test_criterion_7_edge_bound_iff_as_stated(witness_bounds):
 
 
 def test_criterion_7_quarter_bound_as_stated(witness_bounds):
-    """Pinned claim: the quarter bounds hold for every n != 2 (mod 3)
+    """Published scope: the quarter bounds hold for every n != 2 (mod 3)
     outside {3,4,6,7,9,13,18,25}.
 
-    10 and 22 fall in that scope, but both are fixed points: every graph
-    with 10 (respectively 22) spanning trees needs at least that many
-    edges, which the exhaustive verifier in test_criterion_8 proves. The
-    bound cannot hold there; this test keeps the pinned scope visible.
+    That scope cannot hold: it contains 10 and 22, which are fixed points.
+    No graph with 10 (respectively 22) spanning trees has fewer than 10
+    (22) edges, and 4 * 10 > 10 + 13. The corrected scope leaves out the
+    whole third-bound set, so QUARTER_EXCEPTIONS is BETA_EXCEPTIONS plus 25.
+    Below, the exhaustive searches prove that 10 and 22 are true
+    exceptions: no graph meets either quarter bound there.
     """
     for n, r in witness_bounds.items():
         if n % 3 != 2 and n not in QUARTER_EXCEPTIONS:
             assert r.bound_quarter and r.vertex_bound_quarter, f"n={n}"
+    for n in (10, 22):
+        assert verify_no_smaller_graph(n, (n + 9) // 4 + 1).proved, f"n={n}"
+        assert beta_exact(n, (n + 13) // 4).value is None, f"n={n}"
 
 
 # -- 8 -----------------------------------------------------------------------

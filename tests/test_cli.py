@@ -129,7 +129,11 @@ def test_scan_violations(capsys):
     assert summary["edges_quarter_violations_in_scope"] == []
     rows = [json.loads(l) for l in lines[:-1]]
     assert len(rows) == 98 and rows[0]["n"] == 3
-    assert rows[10 - 3]["exception_class"] == rows[22 - 3]["exception_class"] == "beta_exceptional"
+    assert (
+        rows[10 - 3]["exception_class"]
+        == rows[22 - 3]["exception_class"]
+        == "beta_and_quarter_exceptional"
+    )
 
 
 def test_scan_jobs_deterministic(capsys):

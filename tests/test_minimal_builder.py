@@ -58,14 +58,16 @@ def test_exceptional_nine():
 
 
 def test_exception_classes():
-    assert check_bounds(22, build_witness(22)).exception_class is ExceptionClass.BETA
+    assert check_bounds(10, build_witness(10)).exception_class is ExceptionClass.BOTH
+    assert check_bounds(22, build_witness(22)).exception_class is ExceptionClass.BOTH
     assert check_bounds(25, build_witness(25)).exception_class is ExceptionClass.QUARTER
     assert check_bounds(12, build_witness(12)).exception_class is ExceptionClass.NONE
     assert check_bounds(5, build_witness(5)).exception_class is ExceptionClass.BOTH
 
 
 def test_quarter_scope():
-    # n = 2 (mod 3), QUARTER_EXCEPTIONS and the fixed points 10 and 22 are out
+    # n = 2 (mod 3) and QUARTER_EXCEPTIONS, the fixed points 10 and 22 among
+    # them, are out
     assert [n for n in range(3, 40) if in_quarter_scope(n)] == [
         12, 15, 16, 19, 21, 24, 27, 28, 30, 31, 33, 34, 36, 37, 39
     ]
