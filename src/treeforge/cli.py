@@ -84,17 +84,25 @@ def _witness_dict(w: Witness) -> dict:
 
 def cmd_count(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.spec and args.file is not None:
+        print("count takes a FILE or --spec, not both", file=sys.stderr)
+        return 2
     if args.spec:
         g, _ = parse_construction(args.spec)
         source = {"spec": args.spec}
     else:
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file) as fh:
-                text = fh.read()
+        path = "-" if args.file is None else args.file
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path) as fh:
+                    text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return 2
         g = load_graph(text, args.format)
-        source = {"file": args.file}
+        source = {"file": path}
     values = {}
     if args.method in ("matrix", "both"):
         values["matrix"] = tau_matrix(g)
@@ -235,6 +243,9 @@ def cmd_fixedpoint(args: argparse.Namespace) -> int:
 
 def cmd_idoneal(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.scan is not None and args.n is not None:
+        print("idoneal takes <n> or --scan <hi>, not both", file=sys.stderr)
+        return 2
     if args.scan is not None:
         if not 0 <= args.scan <= IDONEAL_SCAN_MAX:
             print(f"idoneal --scan needs 0 <= HI <= {IDONEAL_SCAN_MAX}", file=sys.stderr)
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count spanning trees of a graph", parents=[common])
-    c.add_argument("file", nargs="?", default="-", help="edge-list or graph6 file, - for stdin")
+    c.add_argument("file", nargs="?", default=None, help="edge-list or graph6 file; - or none for stdin")
     c.add_argument("--spec", help="count a built family instead, e.g. theta:2,3,4")
     c.add_argument("--format", choices=["edgelist", "graph6"], default=None)
     c.add_argument("--method", choices=["matrix", "dc", "both"], default="matrix")

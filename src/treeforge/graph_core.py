@@ -1,8 +1,8 @@
 """Immutable undirected multigraphs and their edge operations (deletion,
 contraction, path attachment, subdivision), canonical labeling and
 automorphism groups, and blocks and bridges. The counters of tree_count
-work on their own adjacency dicts; of this module they use the canonical
-form, the block split and the Skeleton type.
+work on their own adjacency dicts; of this module they use the block split
+(_blocks, which takes such dicts) and the Skeleton type.
 
 Vertices are always labeled 0..n-1. Parallel edges are stored as integer
 multiplicities on unordered pairs. Loops are never stored: contraction
@@ -16,7 +16,7 @@ its canonical form and its automorphisms are computed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -79,9 +79,9 @@ class Multigraph:
     def degree(self, v: int) -> int:
         return sum(m for a, b, m in self.edges if a == v or b == v)
 
-    def adjacency(self) -> list[dict[int, int]]:
-        """neighbor -> multiplicity maps, index by vertex."""
-        adj: list[dict[int, int]] = [dict() for _ in range(self.vertex_count)]
+    def adjacency(self) -> dict[int, dict[int, int]]:
+        """vertex -> {neighbour: multiplicity}, every vertex a key."""
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(self.vertex_count)}
         for u, v, m in self.edges:
             adj[u][v] = m
             adj[v][u] = m
@@ -552,39 +552,36 @@ def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
 # connectivity structure
 
 
-def _blocks(g: Multigraph) -> tuple[int, list[dict[tuple[int, int], int]]]:
-    """Connected component count and edge blocks of g, from one lowpoint
-    DFS (Hopcroft & Tarjan, CACM 16, 1973) started at every unvisited root.
+def _blocks(adj: Mapping[int, Mapping[int, object]]) -> tuple[int, list[dict]]:
+    """Connected component count and edge blocks of an adjacency map
+    (vertex -> {neighbour: value}), from one lowpoint DFS (Hopcroft &
+    Tarjan, CACM 16, 1973) started at every unvisited root.
 
-    Each block maps its pairs (u, v), u < v, to their multiplicities, read
-    off the adjacency map. The DFS walks pairs, not copies: a copy parallel
-    to the tree edge (p, x) would lower low[x] at most to disc[p], which
-    leaves the block test low[x] >= disc[p] as it is. So a bundle stays in
-    one block, and a block is a bridge exactly when it is one pair of
+    Each block maps its pairs (u, v), u < v, to their values in the map:
+    multiplicities from Multigraph.adjacency(), (t, f) weights in tau_dc.
+    The DFS walks pairs, not copies: a copy parallel to the tree edge (p, x)
+    would lower low[x] at most to disc[p], which leaves the block test
+    low[x] >= disc[p] as it is. So a bundle stays in one block, and a block
+    of multiplicities is a bridge exactly when it is one pair of
     multiplicity 1. Isolated vertices are components without blocks.
     """
-    n = g.vertex_count
-    adj = g.adjacency()
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
     roots = 0
-    blocks: list[dict[tuple[int, int], int]] = []
+    blocks: list[dict[tuple[int, int], object]] = []
     edge_stack: list[tuple[int, int]] = []
-    for root in range(n):
-        if disc[root] != -1:
+    for root in adj:
+        if root in disc:
             continue
         roots += 1
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = len(disc)
         stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj[root]))]
         while stack:
             x, parent, it = stack[-1]
             for y in it:
-                if disc[y] == -1:
+                if y not in disc:
                     edge_stack.append((x, y))
-                    disc[y] = low[y] = timer
-                    timer += 1
+                    disc[y] = low[y] = len(disc)
                     stack.append((y, x, iter(adj[y])))
                     break
                 if y != parent and disc[y] < disc[x]:  # a back edge
@@ -616,7 +613,7 @@ def is_two_edge_connected(g: Multigraph) -> bool:
     A parallel pair is never a bridge. Cut vertices are fine: C_{3,3}
     (two triangles sharing a vertex) passes. Raises on disconnected input.
     """
-    roots, blocks = _blocks(g)
+    roots, blocks = _blocks(g.adjacency())
     if roots > 1:
         raise GraphError("graph not connected")
     return not any(map(_is_bridge, blocks))
@@ -624,7 +621,7 @@ def is_two_edge_connected(g: Multigraph) -> bool:
 
 def bridges(g: Multigraph) -> list[tuple[int, int]]:
     """All bridge pairs (u, v), u < v. Parallel bundles are never bridges."""
-    return sorted(next(iter(b)) for b in _blocks(g)[1] if _is_bridge(b))
+    return sorted(next(iter(b)) for b in _blocks(g.adjacency())[1] if _is_bridge(b))
 
 
 def biconnected_components(g: Multigraph) -> list[Multigraph]:
@@ -633,7 +630,7 @@ def biconnected_components(g: Multigraph) -> list[Multigraph]:
     The spanning-tree count multiplies over blocks, so counting can
     factor through this decomposition.
     """
-    roots, blocks = _blocks(g)
+    roots, blocks = _blocks(g.adjacency())
     if roots > 1:
         raise GraphError("graph not connected")
     out = []

@@ -110,6 +110,8 @@ def parse_graph6(text: str) -> Multigraph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ParseError("empty graph6 input")
+    if not s.isascii():
+        raise ParseError("graph6 text must be ASCII")
     data = s.encode("ascii")
     if any(b < 63 or b > 126 for b in data):
         raise ParseError("invalid graph6 byte")

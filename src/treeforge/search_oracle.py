@@ -535,6 +535,7 @@ class _Sweep:
         self.suffix_extra = [0] * (len(self.cycle_idx) + 1)
         for j in range(len(self.cycle_idx) - 1, -1, -1):
             self.suffix_extra[j] = self.suffix_extra[j + 1] + self.floors[self.cycle_idx[j]] - 1
+        # mins is the componentwise least admissible (simple) assignment:
         # the first slot of a parallel class may have length 1, the others 2
         self.mins = list(self.floors)
         for idxs in self.parallel_classes.values():
@@ -544,11 +545,6 @@ class _Sweep:
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
         return eval_terms(self.terms, lengths)
-
-    def min_lengths(self) -> list[int]:
-        """Componentwise minimal admissible (simple) assignment: loops need
-        length 3, and at most one slot per parallel class may have length 1."""
-        return list(self.mins)
 
     def min_tau(self) -> TreeCount:
         return self.tau(self.mins)

@@ -9,8 +9,8 @@ the pair (t1 t2, t1 f2 + f1 t2) between them, pairs joined twice merge into
 (t1 f2 + f1 t2, f1 f2), and an isolated vertex while others are live means
 the graph is disconnected. This takes O(V) dict work, and trees, cycles,
 thetas and bouquets end here. The reduction is tau_matrix's own code, in
-Laplacian terms: it calls none of tau_dc's reductions, canonical forms or
-block split, so the two methods stay independent checks of each other.
+Laplacian terms: it calls none of tau_dc's reductions or block split, so
+the two methods stay independent checks of each other.
 
 The core left has minimum degree 3. Its least label is deleted as the root,
 its rows are P times its Laplacian, P the product of every f in the core,
@@ -45,10 +45,11 @@ multiplicity m enters as (m, 1). Parallel edges merge on insertion into
 network reliability (Colbourn, 1987), then run without recursing: a pendant
 vertex gives a factor t, and a vertex with two neighbours a and b becomes
 the edge (t1 t2, t1 f2 + f1 t2) between a and b. The core left, of minimum
-degree 3, is memoized under its canonical form with each pair's multiplicity
-set to the rank of its weight, plus the sorted weights themselves, in one
-table per call that holds at most DC_CORE_CEILING cores. A core of
-several blocks is their product; a single block recurses on one edge e as
+degree 3, is memoized under its labels and weights, the flat tuple of its
+sorted (u, v, t, f) entries, in one table per call that holds at most
+DC_CORE_CEILING cores; no canonical form is computed. A core of several
+blocks (graph_core's lowpoint DFS, run on these weighted dicts) is their
+product; a single block recurses on one edge e as
 tau = t_e tau(G / e) + f_e tau(G - e). So trees, cycles, thetas and
 bouquets of cycles never recurse, and only the reduced core does.
 
@@ -70,22 +71,16 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
-from .graph_core import (
-    GraphError,
-    Multigraph,
-    Skeleton,
-    _check_lengths,
-    _find,
-    biconnected_components,
-    canonical_form,
-)
+from .graph_core import GraphError, Multigraph, Skeleton, _blocks, _check_lengths, _find
+# Unused here, but perfbench/spans.py patches these attributes when tracing.
+from .graph_core import biconnected_components, canonical_form  # noqa: F401
 
 TreeCount = int  # arbitrary precision; counts exceed 64 bits quickly
 
-#: Most cores one tau_dc call may memoize. C_40^2 has 1,508, the 6x6 grid
-#: 19,584 (5 s); the 16x16 grid stops after 19 s at 71 MB, and a 32-vertex
-#: cubic graph would need 258,857 (CPU time, 2-vCPU VM).
-DC_CORE_CEILING = 1 << 16
+#: Most labelled cores one tau_dc call may memoize. C_40^2 has 4,803, the
+#: 6x6 grid 47,049 (2.6 s), the 4x9 grid 117,594 (4.8 s); the 16x16 grid
+#: stops after 5.4 s at 109 MB (median CPU time of 3 runs, 2-vCPU VM).
+DC_CORE_CEILING = 1 << 17
 
 #: Kept for the benchmark's traced pass, which reads it: no table holds more.
 DEFAULT_MEMO_CAP = DC_CORE_CEILING
@@ -109,8 +104,8 @@ def tau_matrix(g: Multigraph) -> TreeCount:
     L, an integer, and the last pivot is the count. A core pays exact
     minimum-degree Bareiss, about f^3 steps for a final complete front of f
     rows. The reduction is tau_matrix's own code, in Laplacian terms: it
-    calls none of tau_dc's reductions, canonical forms or block split, so
-    the two methods stay independent checks of each other.
+    calls none of tau_dc's reductions or block split, so the two methods
+    stay independent checks of each other.
     """
     n = g.vertex_count
     if n < 1:
@@ -331,29 +326,18 @@ def _reduce(adj: dict) -> TreeCount:
     return factor
 
 
-def _weighted(g: Multigraph, weight) -> dict:
-    """Adjacency dicts of g, with weight(m) on the pair of multiplicity m."""
-    adj: dict = {x: {} for x in range(g.vertex_count)}
-    for u, v, m in g.edges:
-        adj[u][v] = adj[v][u] = weight(m)
-    return adj
-
-
 def _tau_dc_core(adj: dict, table: dict) -> TreeCount:
-    # adj is connected; it is reduced and then consumed. table maps the key
-    # of every core this tau_dc call has met to its count, or to None while
-    # the count is being computed: every core below has fewer vertices or
-    # fewer adjacent pairs, so it never meets its own key again.
+    # adj is connected; it is reduced and then consumed. table maps every
+    # core this tau_dc call has met, keyed by its sorted (u, v, t, f)
+    # entries in one flat tuple, to its count, or to None while the count is
+    # being computed: every core below has fewer vertices or fewer adjacent
+    # pairs, so it never meets its own key again.
     factor = _reduce(adj)
     if len(adj) == 1:
         return factor
-    # the key: the core with each weight replaced by its rank, and the weights
-    index = {x: i for i, x in enumerate(adj)}
-    weights = sorted({w for nb in adj.values() for w in nb.values()})
-    rank = {w: r for r, w in enumerate(weights, 1)}
-    triples = [(index[u], index[v], rank[w]) for u, nb in adj.items() for v, w in nb.items()]
-    g = Multigraph(len(index), tuple(sorted(e for e in triples if e[0] < e[1])))
-    key = (canonical_form(g), tuple(weights))
+    key = tuple(
+        x for u in sorted(adj) for v, w in sorted(adj[u].items()) if u < v for x in (u, v, *w)
+    )
     hit = table.get(key)
     if hit is not None:
         return factor * hit
@@ -364,11 +348,15 @@ def _tau_dc_core(adj: dict, table: dict) -> TreeCount:
         )
     table[key] = None
 
-    blocks = biconnected_components(g)
+    blocks = _blocks(adj)[1]
     if len(blocks) > 1:
         value = 1
-        for b in blocks:
-            value *= _tau_dc_core(_weighted(b, lambda r: weights[r - 1]), table)
+        for block in blocks:
+            sub: dict = {}
+            for (u, v), w in block.items():
+                sub.setdefault(u, {})[v] = w
+                sub.setdefault(v, {})[u] = w
+            value *= _tau_dc_core(sub, table)
     else:
         # a 2-connected core: G - e stays connected
         u = min(adj)
@@ -390,18 +378,22 @@ def tau_dc(g: Multigraph) -> TreeCount:
 
     Pendant vertices and vertices with two neighbours reduce away without
     recursing; only the core left recurses. Each call keeps its own memo,
-    which keys each core on its canonical form and its weights by value and
-    is dropped when the call returns, so the result and the cost depend on
-    g alone. Running out of stack, or meeting more than DC_CORE_CEILING
-    distinct cores, raises GraphError.
+    keyed on each labelled core's sorted (u, v, t, f) entries, so equal
+    keys are the same weighted graph, and drops it on return: the result
+    and the cost depend on g alone. No canonical form is computed. Running
+    out of stack, or meeting more than DC_CORE_CEILING distinct cores,
+    raises GraphError.
     """
     n = g.vertex_count
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     if len(g.edges) < n - 1 or not g.is_connected():
         return 0  # checked first, so a huge edgeless header builds nothing
+    adj: dict = {x: {} for x in range(n)}
+    for u, v, m in g.edges:
+        adj[u][v] = adj[v][u] = (m, 1)
     try:
-        return _tau_dc_core(_weighted(g, lambda m: (m, 1)), {})
+        return _tau_dc_core(adj, {})
     except RecursionError:
         raise GraphError(
             f"deletion-contraction recursion too deep on {n} vertices; use the matrix method"

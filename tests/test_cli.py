@@ -227,11 +227,33 @@ def test_idoneal_commands(capsys):
         ("verify", "bounds", "--limit", "0"),
         ("verify", "bounds", "--limit", "2"),
         ("verify", "table1", "--limit", "5"),
+        ("count", "-", "--spec", "theta:2,3,4"),
+        ("idoneal", "11", "--scan", "100"),
     ],
     ids=" ".join,
 )
 def test_bad_value_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.txt", None),
+        ("a_directory", "dir"),
+        ("latin1.txt", "p 3\n0 1\n1 2 # caf\xe9\n".encode("latin-1")),
+        ("umlaut.g6", "B\xfcw\n".encode()),
+    ],
+    ids=["missing file", "directory", "undecodable bytes", "non-ASCII graph6"],
+)
+def test_count_unreadable_input_exit_2(tmp_path, capsys, name, content):
+    f = tmp_path / name
+    if content == "dir":
+        f.mkdir()
+    elif content is not None:
+        f.write_bytes(content)
+    code, out, err = run(capsys, "count", str(f))
     assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
 
 

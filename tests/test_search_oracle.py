@@ -337,7 +337,7 @@ class TestSkeletons:
     def test_subdivision_tau_matches_matrix(self):
         for s in enumerate_skeletons(3):
             sweep = _Sweep(s)
-            lengths = sweep.min_lengths()
+            lengths = sweep.mins
             assert sweep.tau(lengths) == tau_matrix(sweep.build(lengths))
             bumped = [l + 1 for l in lengths]
             assert sweep.tau(bumped) == tau_matrix(sweep.build(bumped))
@@ -352,7 +352,7 @@ class TestSkeletons:
                 if len(s.slots) > 6:
                     continue
                 sweep = _Sweep(s)
-                base = [l + 1 for l in sweep.min_lengths()]
+                base = [l + 1 for l in sweep.mins]
                 t0 = sweep.tau(base)
                 residue, _ = s.residue()
                 bridge_pairs = set(bridges(residue))

@@ -293,14 +293,14 @@ class TestKronReduction:
 
     def test_independent_of_deletion_contraction(self, rng, monkeypatch):
         # tau_matrix reduces with its own code: with tau_dc's reducer, edge
-        # merge, canonical form and block split all raising, it still counts
+        # merge and block split, and canonical forms, all raising, it still counts
         def forbidden(*args, **kwargs):
             raise AssertionError("tau_matrix used code it is meant to check")
 
         graphs = [random_multigraph(rng) for _ in range(300)]
         expected = [brute_tau(g) for g in graphs]
         witnesses = [shuffled(build_witness(n).graph, rng) for n in range(3, 301)]
-        for name in ("_reduce", "_join", "canonical_form", "biconnected_components"):
+        for name in ("_reduce", "_join", "_blocks", "canonical_form", "biconnected_components"):
             monkeypatch.setattr(tree_count, name, forbidden)
         assert [tau_matrix(g) for g in graphs] == expected
         assert [tau_matrix(g) for g in witnesses] == list(range(3, 301))
@@ -329,31 +329,37 @@ class TestTauDC:
             assert tau_dc(g) == tau_matrix(g)
 
     def test_ceiling_independent_of_earlier_calls(self, rng, monkeypatch):
-        # the 5x5 grid meets exactly 884 cores in every call: first, right
-        # after counting the grid, and after counting other graphs
+        # the 5x5 grid meets exactly 1,634 labelled cores in every call:
+        # first, right after counting the grid, and after counting others
         grid = grid_graph(5, 5)
         expected = tau_matrix(grid)
         others = [random_connected_multigraph(rng, max_vertices=7) for _ in range(20)]
         for before in ([], [grid], others):
             for g in before:
                 assert tau_dc(g) == tau_matrix(g)
-            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 883)
+            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 1633)
             with pytest.raises(GraphError, match="matrix method"):
                 tau_dc(grid)
-            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 884)
+            monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 1634)
             assert tau_dc(grid) == expected
+
+    def test_independent_of_matrix_and_canonical_form(self, rng, monkeypatch):
+        # tau_dc keys its memo on the labelled core and splits blocks on its
+        # own dicts: with canonical_form, biconnected_components and
+        # tau_matrix's reduction and elimination all raising, it still counts
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tau_dc used code it is meant to check")
+
+        graphs = [random_multigraph(rng) for _ in range(300)]
+        expected = [brute_tau(g) for g in graphs]
+        for name in ("canonical_form", "biconnected_components", "_kron_reduce", "_core_cofactor"):
+            monkeypatch.setattr(tree_count, name, forbidden)
+        assert [tau_dc(g) for g in graphs] == expected
+        with pytest.raises(AssertionError):
+            tau_matrix(square_of_cycle(6))
 
     def test_disconnected_is_zero(self):
         assert tau_dc(Multigraph(4, ((0, 1, 1), (2, 3, 1)))) == 0
-
-    def test_core_ceiling(self, monkeypatch):
-        # the 5x5 grid meets exactly 884 distinct cores
-        grid = grid_graph(5, 5)
-        monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 883)
-        with pytest.raises(GraphError, match="matrix method"):
-            tau_dc(grid)
-        monkeypatch.setattr(tree_count, "DC_CORE_CEILING", 884)
-        assert tau_dc(grid) == tau_matrix(grid)
 
     def test_long_path_strips_in_linear_time(self, recursion_limit):
         # the pendant and series rules reduce these to one vertex without
@@ -477,7 +483,7 @@ class TestTauSubdivision:
         for c in (2, 3, 4):
             for sk in enumerate_skeletons(c):
                 sweep = _Sweep(sk)
-                lengths = [l + rng.randint(0, 3) for l in sweep.min_lengths()]
+                lengths = [l + rng.randint(0, 3) for l in sweep.mins]
                 assert tau_subdivision(sk, lengths) == sweep.tau(lengths)
                 assert tau_subdivision(sk, lengths) == tau_matrix(subdivision(sk, lengths))
 
