@@ -5,10 +5,12 @@ alpha(n) is the least vertex count of a simple graph with exactly n
 spanning trees, beta(n) the least edge count. Both searches enumerate one
 representative per isomorphism class of connected simple graphs, growing
 level by level (a connected graph always has a non-cut vertex, so every
-class on k vertices extends one on k-1). Two hereditary facts prune hard:
+class on k vertices extends one on k-1). One hereditary fact prunes hard:
 removing a non-cut vertex never increases the count, so levels only need
-classes with count <= n; and a minimal witness never has a bridge, since
-contracting a bridge keeps the count while shrinking the graph.
+classes with count <= n. A minimal witness also never has a bridge, since
+contracting a bridge keeps the count while shrinking the graph, but no
+level is filtered by it: deleting a vertex can create a bridge, so a
+bridgeless class may extend only classes with bridges.
 
 verify_no_smaller_graph mechanizes the subdivision argument. Any connected
 simple graph with count n >= 3 reduces (by deleting pendant vertices,
@@ -39,10 +41,9 @@ same search (graph_core.automorphisms), so there is one symmetry search.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from typing import Iterator, Sequence
 
 from .graph_core import (
@@ -118,13 +119,11 @@ def _heavy_vertices(g: Multigraph) -> list[list[tuple[int, int, tuple[int, ...]]
     return [[row for row in rows if row[0] >= s] for s in range(n + 1)]
 
 
-#: Most built levels that _level keeps; the least recently used goes first.
-LEVEL_CACHE_SIZE = 128
-
 Level = tuple[tuple[Multigraph, TreeCount], ...]
 
-# built levels, keyed by (k, tau_cap, edge_cap), least recently used first
-_levels: OrderedDict[tuple[int, int | None, int | None], Level] = OrderedDict()
+# per vertex count k: every class built at k under any caps, sorted by
+# (edge_count, edges), and the level served for each (tau_cap, edge_cap)
+_levels: dict[int, tuple[list[tuple[Multigraph, TreeCount]], dict[tuple[float, float], Level]]] = {}
 
 
 def clear_level_cache() -> None:
@@ -132,22 +131,11 @@ def clear_level_cache() -> None:
     _levels.clear()
 
 
-def _cap_min(a: int | None, b: int | None) -> int | None:
-    """The smaller of two caps, None meaning no cap."""
-    if a is None:
-        return b
-    return a if b is None else min(a, b)
-
-
-def _fits(g: Multigraph, t: TreeCount, tau_cap: int | None, edge_cap: int | None) -> bool:
-    return (tau_cap is None or t <= tau_cap) and (edge_cap is None or g.edge_count <= edge_cap)
-
-
 def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     """Connected simple graph classes on exactly k vertices, with their
     counts. Both restrictions are hereditary under non-cut-vertex deletion
     (the count never grows and edges only disappear), so applying them at
-    every level loses no extension.
+    every level loses no extension. A cap of None means no cap.
 
     Each class of level k-1 (sorted by (edge_count, edges)) is extended by
     a new vertex v joined to every nonempty subset S of its vertices, in
@@ -180,20 +168,14 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     candidates, in the same order, under either pair of caps. Neither skip
     test drops one of them under either pair (|S| * tau(G) <= tau(C), and
     the max-degree rule does not read the caps), and the caps only test
-    class invariants, so X keeps the same first candidate. Built levels
-    are cached, and a request is served in one of three ways:
+    class invariants, so X keeps the same first candidate.
 
-    - Filter: a cached level at k whose caps are both at least as large
-      is filtered to the requested caps.
-    - Extend: otherwise the cached level at k that shares the most classes
-      is filtered to the smaller cap of each kind. Those classes are known,
-      with their representatives, so a candidate that passes both smaller
-      caps is dropped after its count and before canonical_form. Only the
-      other classes are built; they are merged with the known ones and
-      sorted.
-    - Build: with nothing cached at k, every class is built.
-
-    So a level does not depend on which levels were built before it.
+    So one store per k holds every class built at k under any caps. A
+    request inside caps already served is the store filtered to it.
+    Otherwise a candidate inside some served caps is dropped after its
+    count and before canonical_form, since its class is stored; only the
+    other classes are built, merged into the store and sorted. A level
+    does not depend on which levels were built before it.
 
     McKay's full canonical-deletion test would skip more, but it needs a
     canonical labelling of every surviving child, so it saves no
@@ -204,59 +186,43 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
         return ()
     if k == 1:
         return ((Multigraph(1, ()), 1),)
-    request = (k, tau_cap, edge_cap)
-    if request in _levels:
-        _levels.move_to_end(request)
-        return _levels[request]
-    # the cached level at k sharing the most classes, a superset first,
-    # filtered to the smaller caps
-    known: Level = ()
-    known_caps: tuple[int | None, int | None] | None = None
-    best = (False, -1)
-    for (j, tc, ec), cached in _levels.items():
-        if j != k:
-            continue
-        caps = (_cap_min(tc, tau_cap), _cap_min(ec, edge_cap))
-        shared = tuple(item for item in cached if _fits(*item, *caps))
-        rank = (caps == (tau_cap, edge_cap), len(shared))
-        if rank > best:
-            best, known, known_caps = rank, shared, caps
-    out: dict[bytes, tuple[Multigraph, TreeCount]] = {}
-    old = k - 1
-    # a cached superset leaves nothing to build
-    for g, tau_g in () if best[0] else _level(old, tau_cap, edge_cap):
-        edge_list = list(g.edges)
-        heavy = _heavy_vertices(g)
-        for bits in range(1, 1 << old):
-            s = bits.bit_count()
-            # g is simple, so the candidate has one edge per pair
-            if edge_cap is not None and len(edge_list) + s > edge_cap:
-                continue
-            if tau_cap is not None and s * tau_g > tau_cap:
-                continue
-            if any(
-                (d > s or bits >> u & 1) and all(bits & c for c in comps)
-                for d, u, comps in heavy[s]
-            ):
-                continue
-            pairs = edge_list + [
-                (v, old, 1) for v in range(old) if bits >> v & 1
-            ]
-            cand = Multigraph(k, tuple(sorted(pairs)))
-            t = tau_matrix(cand)  # cheaper than canonicalizing, so filter first
-            if tau_cap is not None and t > tau_cap:
-                continue
-            if known_caps is not None and _fits(cand, t, *known_caps):
-                continue  # its class is in known
-            key = canonical_form(cand)
-            if key not in out:
-                out[key] = (cand, t)
-    level = tuple(
-        sorted(known + tuple(out.values()), key=lambda item: (item[0].edge_count, item[0].edges))
+    caps = (inf if tau_cap is None else tau_cap, inf if edge_cap is None else edge_cap)
+    tau_cap, edge_cap = caps
+    store, served = _levels.setdefault(k, ([], {}))
+    if caps in served:
+        return served[caps]
+    if not any(tau_cap <= tc and edge_cap <= ec for tc, ec in served):
+        out: dict[bytes, tuple[Multigraph, TreeCount]] = {}
+        old = k - 1
+        for g, tau_g in _level(old, tau_cap, edge_cap):
+            edge_list = list(g.edges)
+            heavy = _heavy_vertices(g)
+            for bits in range(1, 1 << old):
+                s = bits.bit_count()
+                # g is simple, so the candidate has one edge per pair
+                e = len(edge_list) + s
+                if e > edge_cap or s * tau_g > tau_cap:
+                    continue
+                if any(
+                    (d > s or bits >> u & 1) and all(bits & c for c in comps)
+                    for d, u, comps in heavy[s]
+                ):
+                    continue
+                pairs = edge_list + [
+                    (v, old, 1) for v in range(old) if bits >> v & 1
+                ]
+                cand = Multigraph(k, tuple(sorted(pairs)))
+                t = tau_matrix(cand)  # cheaper than canonicalizing, so filter first
+                if t > tau_cap or any(t <= tc and e <= ec for tc, ec in served):
+                    continue  # over the cap, or its class is stored
+                key = canonical_form(cand)
+                if key not in out:
+                    out[key] = (cand, t)
+        store += out.values()
+        store.sort(key=lambda item: (item[0].edge_count, item[0].edges))
+    served[caps] = level = tuple(
+        item for item in store if item[1] <= tau_cap and item[0].edge_count <= edge_cap
     )
-    _levels[request] = level
-    if len(_levels) > LEVEL_CACHE_SIZE:
-        _levels.popitem(last=False)
     return level
 
 
@@ -301,6 +267,8 @@ def alpha_exact(n: int, max_vertices: int = 8) -> SearchResult:
     """
     if n < 3:
         raise GraphError("alpha is defined for n >= 3")
+    if max_vertices < 1:
+        raise GraphError("max_vertices must be >= 1")
     if max_vertices > DEFAULT_VERTEX_CEILING:
         raise GraphError(
             f"search ceiling exceeded: max_vertices {max_vertices} > {DEFAULT_VERTEX_CEILING}"
@@ -334,6 +302,8 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
     """
     if n < 3:
         raise GraphError("beta is defined for n >= 3")
+    if max_edges < 1:
+        raise GraphError("max_edges must be >= 1")
     if max_edges > BETA_EDGE_CEILING:
         raise GraphError(
             f"search ceiling exceeded: max_edges {max_edges} > {BETA_EDGE_CEILING}"
@@ -737,6 +707,8 @@ def verify_no_smaller_graph(
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
+    if vertex_budget < 1:
+        raise GraphError("vertex_budget must be >= 1")
     if max_witnesses < 1:
         raise GraphError("max_witnesses must be >= 1")
     witnesses: list[Multigraph] = []

@@ -229,6 +229,9 @@ def test_idoneal_commands(capsys):
         ("verify", "table1", "--limit", "5"),
         ("count", "-", "--spec", "theta:2,3,4"),
         ("idoneal", "11", "--scan", "100"),
+        ("alpha", "5", "--max-vertices", "-4"),
+        ("beta", "5", "--max-edges", "0"),
+        ("fixedpoint", "5", "--budget", "-3"),
     ],
     ids=" ".join,
 )

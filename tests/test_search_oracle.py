@@ -19,7 +19,6 @@ from treeforge.graph_core import (
     is_two_edge_connected,
 )
 from treeforge.search_oracle import (
-    LEVEL_CACHE_SIZE,
     SKELETON_CEILING,
     WITNESS_CEILING,
     SearchKind,
@@ -126,14 +125,36 @@ def test_level_independent_of_build_order(order):
     clear_level_cache()
 
 
-def test_level_cache_is_bounded():
+def test_level_store(monkeypatch):
+    # one store per vertex count holds each class once, whatever caps built it
     clear_level_cache()
     keys = [(k, cap, None) for cap in range(1, 70) for k in (2, 3, 4)]
     for key in keys:
         assert _level(*key) == reference_level(*key), key
-    assert len(search_oracle._levels) == LEVEL_CACHE_SIZE
-    # evicted levels are rebuilt the same
-    for key in keys[:9]:
+    for k in (2, 3, 4):
+        assert search_oracle._levels[k][0] == list(reference_level(k, 69)), k
+
+    # extending (k, 128) after (k, 64) canonicalises only the new classes
+    clear_level_cache()
+    _level(6, 64)
+    counts = []
+
+    def counted(g, *args, **kwargs):
+        counts.append(tau_matrix(g))
+        return canonical_form(g, *args, **kwargs)
+
+    monkeypatch.setattr(search_oracle, "canonical_form", counted)
+    assert _level(6, 128) == reference_level(6, 128)
+    assert counts and min(counts) > 64
+
+    # a request inside served caps is the store filtered: nothing is counted
+    # or canonicalised
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called for a level inside served caps")
+
+    monkeypatch.setattr(search_oracle, "canonical_form", forbidden)
+    monkeypatch.setattr(search_oracle, "tau_matrix", forbidden)
+    for key in [(6, 100, None), (6, 64, 9), (5, 128, None), (6, 1, 1)]:
         assert _level(*key) == reference_level(*key), key
     clear_level_cache()
 
