@@ -36,6 +36,11 @@ arguments that both keep exactly the objects a full canonical dedup keeps.
 Both read a skeleton's symmetry off Skeleton.residue(): enumerate_skeletons
 keys it by canonical_form, and the sweep takes its automorphisms from the
 same search (graph_core.automorphisms), so there is one symmetry search.
+The exhaustive search applies the same principle in _level's twin rule:
+when swapping two twin vertices of a parent (same neighbours apart from
+each other) maps one new vertex's neighbour set onto another, only the
+set with the smaller bit mask is built, counted and canonicalised; the
+_level docstring gives the argument.
 """
 
 from __future__ import annotations
@@ -93,14 +98,20 @@ class SearchResult:
 # isomorphism-free enumeration of connected simple graphs
 
 
-def _heavy_vertices(g: Multigraph) -> list[list[tuple[int, int, tuple[int, ...]]]]:
-    """Entry s lists (degree, u, component masks of g - u) for every vertex
-    u of g with degree >= s, for s = 0..vertex_count."""
-    n = g.vertex_count
-    adj = [0] * n
+def _adjacency_masks(g: Multigraph) -> list[int]:
+    """Entry u is the bit mask of u's neighbours in g."""
+    adj = [0] * g.vertex_count
     for a, b, _ in g.edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
+    return adj
+
+
+def _heavy_vertices(adj: list[int]) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """Entry s lists (degree, u, component masks of g - u) for every vertex
+    u of g with degree >= s, for s = 0..vertex_count, where adj is g's
+    _adjacency_masks."""
+    n = len(adj)
     rows = []
     for u in range(n):
         rest = ((1 << n) - 1) & ~(1 << u)
@@ -117,6 +128,19 @@ def _heavy_vertices(g: Multigraph) -> list[list[tuple[int, int, tuple[int, ...]]
             comps.append(comp)
         rows.append((adj[u].bit_count(), u, tuple(comps)))
     return [[row for row in rows if row[0] >= s] for s in range(n + 1)]
+
+
+def _twins(adj: list[int]) -> list[tuple[int, int]]:
+    """(bit u | bit w, bit w) for every pair u < w of twins of g, where adj
+    is g's _adjacency_masks: u and w have the same neighbours apart from
+    each other, so swapping them is an automorphism of g."""
+    out = []
+    for w in range(len(adj)):
+        for u in range(w):
+            pair = 1 << u | 1 << w
+            if adj[u] & ~pair == adj[w] & ~pair:
+                out.append((pair, 1 << w))
+    return out
 
 
 Level = tuple[tuple[Multigraph, TreeCount], ...]
@@ -140,14 +164,26 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     Each class of level k-1 (sorted by (edge_count, edges)) is extended by
     a new vertex v joined to every nonempty subset S of its vertices, in
     order of the subset's bit mask, and a class keeps the first candidate
-    that passes both caps. Two tests skip a candidate C = G + v before it
-    is built; each skips only candidates that are never the first of their
-    class, so the classes, their representatives and their order are the
-    same as without them.
+    that passes both caps. Three tests skip a candidate C = G + v before it
+    is built. Each skips C only when an earlier candidate of C's class
+    passes the caps whenever C does, so the first candidate of a class
+    that passes them is never skipped, and the classes, their
+    representatives and their order are the same as without the tests.
 
     - Count bound: a spanning tree of G plus one edge v-s, s in S, is a
       spanning tree of C, and all these are distinct, so
       tau(C) >= |S| * tau(G). Above tau_cap the candidate fails the cap.
+    - Twin rule: skip C when G has twins u < w (the same neighbours apart
+      from each other) with w in S and u not in S. The swap (u w) is an
+      automorphism of G, so C is isomorphic to G plus a vertex joined to
+      S - w + u, a candidate of the same parent with a smaller mask, tried
+      first. Both get the same verdict from every test: the caps, the
+      count bound and the drop of stored classes read only |S|, tau(G)
+      and the class, and the swap carries a vertex that fires the
+      max-degree rule on one to a vertex that fires it on the other.
+      Twins are found from the adjacency masks at a parent's first
+      candidate within the caps, so a parent whose candidates all fail
+      the caps or the count bound does not look for them.
     - Max-degree rule: skip C when some vertex u of G is a non-cut vertex
       of C with deg_C(u) > |S|. Then C - u is connected, its count is at
       most tau(C) and it has fewer edges, so its class is in level k-1
@@ -165,10 +201,10 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     X be a class that passes the smaller caps. The parent C - v of each of
     its candidates has a count at most tau(C) and fewer edges, so it
     passes the smaller caps too: by induction on k, X meets the same
-    candidates, in the same order, under either pair of caps. Neither skip
-    test drops one of them under either pair (|S| * tau(G) <= tau(C), and
-    the max-degree rule does not read the caps), and the caps only test
-    class invariants, so X keeps the same first candidate.
+    candidates, in the same order, under either pair of caps. The count
+    bound drops none of them under either pair (|S| * tau(G) <= tau(C)),
+    the twin and max-degree rules do not read the caps, and the caps only
+    test class invariants, so X keeps the same first candidate.
 
     So one store per k holds every class built at k under any caps. A
     request inside caps already served is the store filtered to it.
@@ -196,12 +232,18 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
         old = k - 1
         for g, tau_g in _level(old, tau_cap, edge_cap):
             edge_list = list(g.edges)
-            heavy = _heavy_vertices(g)
+            adj = _adjacency_masks(g)
+            heavy = _heavy_vertices(adj)
+            twins = None  # found at the first candidate within the caps
             for bits in range(1, 1 << old):
                 s = bits.bit_count()
                 # g is simple, so the candidate has one edge per pair
                 e = len(edge_list) + s
                 if e > edge_cap or s * tau_g > tau_cap:
+                    continue
+                if twins is None:
+                    twins = _twins(adj)
+                if any(bits & pair == w for pair, w in twins):
                     continue
                 if any(
                     (d > s or bits >> u & 1) and all(bits & c for c in comps)
@@ -297,8 +339,8 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
     up to max_edges vertices exhaust every candidate.
 
     max_edges may not exceed BETA_EDGE_CEILING: beta_exact(13, E) for
-    E = 9, 10, 11, 12 took 0.46, 2.0, 7.5 and 28 s of CPU time on a 2-vCPU
-    Xeon VM, about 4x per extra edge.
+    E = 9, 10, 11, 12 took 0.13, 0.48, 1.9 and 7.6 s of CPU time on a
+    2-vCPU Xeon VM (CPython 3.11, cold levels), about 4x per extra edge.
     """
     if n < 3:
         raise GraphError("beta is defined for n >= 3")

@@ -37,3 +37,27 @@ def test_worker_reads_memo_cap():
 
     cap = getattr(tree_count, "DEFAULT_MEMO_CAP", None)
     assert isinstance(cap, int) and cap >= 1
+
+
+def test_level_calls_traced_attributes(monkeypatch):
+    # the traced search_oracle.level.tau_matrix_calls and canonical_calls
+    # count calls to these two module attributes
+    from treeforge import search_oracle
+
+    calls = {"tau_matrix": 0, "canonical_form": 0}
+
+    def counter(name):
+        inner = getattr(search_oracle, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(search_oracle, name, counter(name))
+    search_oracle.clear_level_cache()
+    search_oracle._level(5, 64)
+    search_oracle.clear_level_cache()
+    assert calls["tau_matrix"] >= calls["canonical_form"] > 0

@@ -159,6 +159,43 @@ def test_level_store(monkeypatch):
     clear_level_cache()
 
 
+def _twin_split(cand):
+    """Twins u < w of the parent cand - v (v the last vertex) with w joined
+    to v and u not."""
+    v = cand.vertex_count - 1
+    nbrs = {x: set() for x in range(cand.vertex_count)}
+    for a, b, _ in cand.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    s = nbrs[v]
+    return [
+        (u, w)
+        for u, w in combinations(range(v), 2)
+        if w in s and u not in s and nbrs[u] - {w, v} == nbrs[w] - {u, v}
+    ]
+
+
+def test_level_twin_rule(monkeypatch):
+    # no candidate is counted when a twin swap of its parent gives a
+    # smaller neighbour mask
+    counted = []
+
+    def tau(g):
+        counted.append(g)
+        return tau_matrix(g)
+
+    monkeypatch.setattr(search_oracle, "tau_matrix", tau)
+    clear_level_cache()
+    for k in range(1, 8):
+        _level(k, None)
+    assert len(counted) == 1685  # 2173 without the twin rule
+    for e in range(4, 10):
+        clear_level_cache()
+        _level(e, 64, e)
+    clear_level_cache()
+    assert [c for c in counted if _twin_split(c)] == []
+
+
 class TestEnumeration:
     def test_counts_match_known_sequence(self):
         for k, expected in CONNECTED_COUNTS.items():
