@@ -27,13 +27,12 @@ from .graph_core import GraphError
 from .graphio import ParseError, format_edge_list, load_graph
 from .idoneal import idoneal_numbers_up_to, strict_representations
 from .minimal_builder import (
-    BETA_EXCEPTIONS,
     FIXED_POINTS,
     BoundReport,
+    ExceptionClass,
     Witness,
     build_witness,
     check_bounds,
-    in_quarter_scope,
 )
 from .search_oracle import (
     WITNESS_CEILING,
@@ -180,7 +179,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rows = [_scan_row(n) for n in ns]
     third_violations = [r["n"] for r in rows if not r["edges_le_third"]]
     quarter_violations = [
-        r["n"] for r in rows if in_quarter_scope(r["n"]) and not r["edges_le_quarter"]
+        r["n"]
+        for r in rows
+        if r["exception_class"] == ExceptionClass.NONE.value and not r["edges_le_quarter"]
     ]
     summary = {
         "edges_third_violations": third_violations,
@@ -300,9 +301,10 @@ def _verify_variants(rows) -> tuple[int, list[dict]]:
 def _verify_bounds(limit: int) -> tuple[int, list[dict]]:
     """Exceptional n must break the edge-and-vertex bound pair (for n = 3
     only the vertex half fails: 3 <= (3+7)/3 already holds), every other n
-    must satisfy both, and the quarter bounds must hold on
-    `in_quarter_scope`. That scope leaves out every exceptional n, the
-    fixed points 10 and 22 among them, whose minimum is n itself."""
+    must satisfy both, and the quarter bounds must hold where
+    `check_bounds` classes n as exempt from neither. The quarter scope
+    leaves out every exceptional n, the fixed points 10 and 22 among them,
+    whose minimum is n itself."""
     failures = []
     for n in range(3, limit + 1):
         w = build_witness(n)
@@ -310,13 +312,13 @@ def _verify_bounds(limit: int) -> tuple[int, list[dict]]:
         if w.tau != n:
             failures.append({"n": n, "problem": "certification", "tau": str(w.tau)})
             continue
-        if n in BETA_EXCEPTIONS:
+        if r.exception_class is ExceptionClass.BOTH:
             if r.bound_third and r.vertex_bound_third:
                 failures.append({"n": n, "problem": "expected a bound violation"})
         else:
             if not r.bound_third or not r.vertex_bound_third:
                 failures.append({"n": n, "problem": "third bound failed"})
-            if in_quarter_scope(n):
+            if r.exception_class is ExceptionClass.NONE:
                 if not r.bound_quarter or not r.vertex_bound_quarter:
                     failures.append({"n": n, "problem": "quarter bound failed"})
     return limit - 2, failures

@@ -397,7 +397,9 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
 
     Optional ``colors`` restricts isomorphisms to color-preserving maps
     (used e.g. to canonicalize graphs carrying per-vertex attributes).
-    Deterministic across runs and platforms.
+    Deterministic across runs and platforms. The search recurses once per
+    individualized vertex; running out of stack (the star K_{1,1200} needs
+    1,199 levels) raises GraphError.
     """
     return _canonical_search(g, colors)[0]
 
@@ -530,7 +532,10 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
         orbits.pop()
         return resume
 
-    search(lab, pos, cellof, size, cells, ())
+    try:
+        search(lab, pos, cellof, size, cells, ())
+    except RecursionError:
+        raise GraphError(f"canonical-form recursion too deep on {n} vertices") from None
     return repr((n, tuple(sorted(init)), best[0])).encode(), gens
 
 

@@ -22,7 +22,11 @@ monotone in the path lengths, and the vertex budget bounds the sweep, so
 the whole family below a budget can be searched exactly. Levels stop once
 the minimum count at cyclomatic number c exceeds n: adding an ear raises
 the count by at least 2 (and a new cycle block multiplies it by >= 3), so
-deeper levels only grow.
+deeper levels only grow. Each level is one cached table (_sweeps): the
+sweep of every skeleton, with its least count and vertex total, and the
+level's least count, so a query only reads them. A sweep counts its hits
+before listing them, and the witness graphs are built once the whole list
+is known to fit under the witness ceiling.
 
 Both steps of the proof keep one labelled object per isomorphism class
 without canonicalising every candidate, in the manner of orderly generation
@@ -48,7 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from math import comb, factorial, inf, prod
 from typing import Iterator, Sequence
 
 from .graph_core import (
@@ -505,12 +509,14 @@ class _Sweep:
     the same two vertices) has length 1. A bridge lies on no cycle, so it
     is in no parallel class and every length >= 1 is admissible.
 
-    Built once per skeleton and process by ``_sweep_of``, so every query
-    reuses the terms, the slot split, the minimal lengths and, once some
-    query has hits, the automorphisms: those of the skeleton's residue
-    that keep its loop counts, closed by graph_core.automorphisms from the
-    ones canonical_form's search meets. Missing ones could only keep
-    duplicate witnesses, never drop a class, so no verdict depends on them.
+    Built once per skeleton and process, in the level table ``_sweeps``,
+    so every query reuses the terms, the slot split, the minimal lengths,
+    the least count and vertex total (``min_tau``, ``min_vertices``) and,
+    once some query has hits, the automorphisms: those of the skeleton's
+    residue that keep its loop counts, closed by graph_core.automorphisms
+    from the ones canonical_form's search meets. Missing ones could only
+    keep duplicate witnesses, never drop a class, so no verdict depends on
+    them.
 
     Witnesses are deduplicated without canonical forms (``orbit_least``).
     Suppressing the degree-2 vertices of a subdivision is canonical, so
@@ -553,19 +559,12 @@ class _Sweep:
         for idxs in self.parallel_classes.values():
             for i in idxs[1:]:
                 self.mins[i] = 2
+        self.min_tau = self.tau(self.mins)
+        self.min_vertices = skeleton.vertex_count + sum(l - 1 for l in self.mins)
         self._automorphisms: list[tuple[int, ...]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
         return eval_terms(self.terms, lengths)
-
-    def min_tau(self) -> TreeCount:
-        return self.tau(self.mins)
-
-    def min_vertices(self) -> int:
-        return self.skeleton.vertex_count + sum(l - 1 for l in self.mins)
-
-    def build(self, lengths: Sequence[int]) -> Multigraph:
-        return subdivision(self.skeleton, lengths)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Vertex permutations of the skeleton that keep the slot count of
@@ -602,9 +601,18 @@ class _Sweep:
                 kept.append(vec)
         return kept
 
+    def orbit_bound(self) -> int:
+        """The most hits one orbit can hold: its members are the images of
+        one hit under an automorphism followed by a bijection inside each
+        cell. orbit_least keeps one hit per orbit of the automorphisms it
+        is given, so more than k * orbit_bound() hits leave it more than k
+        to keep."""
+        cell_bijections = prod(factorial(len(idxs)) for idxs in self.cells.values())
+        return len(self.automorphisms()) * cell_bijections
+
     def find_assignments(
-        self, n: int, vertex_budget: int
-    ) -> tuple[int, list[tuple[int, ...]]]:
+        self, n: int, vertex_budget: int, max_classes: float = inf
+    ) -> tuple[int, list[tuple[int, ...]] | None]:
         """All admissible length vectors with count exactly n and strictly
         fewer than vertex_budget vertices, in lexicographic order. Returns
         (tried, hits).
@@ -627,6 +635,11 @@ class _Sweep:
         sum r_k <= R), all added to ``tried``; when its count is n each of
         them is a hit. Bridge slots sit between cycle slots, so the hits
         are sorted at the end.
+
+        The hits are counted before they are listed. When there are more
+        than max_classes * orbit_bound() of them, they hold more than
+        max_classes classes, and hits is None: nothing is listed, since
+        the bridge vectors grow with a power of the budget.
         """
         floors = self.floors
         cyc = self.cycle_idx
@@ -638,21 +651,12 @@ class _Sweep:
         bridges = self.bridge_idx
         nb = len(bridges)
         lengths = floors[:]
-        tried = 0
-        hits: list[tuple[int, ...]] = []
-
-        def fill_bridges(k: int, spare: int) -> None:
-            if k == nb:
-                hits.append(tuple(lengths))
-                return
-            s = bridges[k]
-            for l in range(1, spare + 2):
-                lengths[s] = l
-                fill_bridges(k + 1, spare - (l - 1))
-            lengths[s] = 1
+        tried = found = 0
+        # cycle vectors with count n, each with its spare vertices
+        leaves: list[tuple[list[int], int]] = []
 
         def assign(j: int, extra: int, ones_used: set[tuple[int, int]]) -> None:
-            nonlocal tried
+            nonlocal tried, found
             i = cyc[j]
             # the terms holding i give the slope of the count in l_i, the
             # others its intercept
@@ -676,10 +680,12 @@ class _Sweep:
             if j == m - 1:
                 for l in range(lo, hi + 1):
                     spare = max_extra - extra - (l - 1)
-                    tried += comb(spare + nb, nb)
+                    ways = comb(spare + nb, nb)
+                    tried += ways
                     if slope * l + base == n:
+                        found += ways
                         lengths[i] = l
-                        fill_bridges(0, spare)
+                        leaves.append((lengths[:], spare))
                 lengths[i] = floors[i]
                 return
             for l in range(lo, hi + 1):
@@ -693,13 +699,33 @@ class _Sweep:
             lengths[i] = floors[i]
 
         assign(0, 0, set())
+        if found > max_classes and found > max_classes * self.orbit_bound():
+            return tried, None
+        hits: list[tuple[int, ...]] = []
+
+        def fill_bridges(vec: list[int], k: int, spare: int) -> None:
+            if k == nb:
+                hits.append(tuple(vec))
+                return
+            s = bridges[k]
+            for l in range(1, spare + 2):
+                vec[s] = l
+                fill_bridges(vec, k + 1, spare - (l - 1))
+            vec[s] = 1
+
+        for vec, spare in leaves:
+            fill_bridges(vec, 0, spare)
         hits.sort()
         return tried, hits
 
 
 @lru_cache(maxsize=None)
-def _sweep_of(skeleton: Skeleton) -> _Sweep:
-    return _Sweep(skeleton)
+def _sweeps(cyclomatic: int) -> tuple[tuple[_Sweep, ...], TreeCount]:
+    """The _Sweep of every skeleton of enumerate_skeletons(cyclomatic), in
+    its order, and the least min_tau among them: the level's table, built
+    once per process."""
+    sweeps = tuple(_Sweep(skel) for skel in enumerate_skeletons(cyclomatic))
+    return sweeps, min(sweep.min_tau for sweep in sweeps)
 
 
 def _graph_dict(g: Multigraph) -> dict:
@@ -745,7 +771,8 @@ def verify_no_smaller_graph(
     above it, when the proof needs a level above SKELETON_CEILING; the
     minimum count at level 4 is 40, so every n <= 39 stops in time. Raises
     GraphError as soon as the list would hold more than max_witnesses
-    classes.
+    classes: at the first skeleton whose hits hold more classes than there
+    is room for, and before any witness graph is built.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
@@ -764,6 +791,10 @@ def verify_no_smaller_graph(
             "trees have exactly 1"
         )
 
+    room = max_witnesses - len(witnesses)
+    # per swept skeleton, its witness vectors and its transcript list; the
+    # graphs are built once the whole list is known to fit
+    swept: list[tuple[_Sweep, list[tuple[int, ...]], list[dict]]] = []
     levels: list[dict] = []
     c = 2
     while True:
@@ -772,43 +803,37 @@ def verify_no_smaller_graph(
                 f"n = {n} needs skeletons of cyclomatic number {c}, "
                 f"above the enumeration ceiling {SKELETON_CEILING}"
             )
+        sweeps, level_min = _sweeps(c)
         entries = []
-        level_min: TreeCount | None = None
-        for skel in enumerate_skeletons(c):
-            sweep = _sweep_of(skel)
-            mt = sweep.min_tau()
-            mv = sweep.min_vertices()
-            if level_min is None or mt < level_min:
-                level_min = mt
+        for sweep in sweeps:
             entry = {
-                "skeleton": skel.describe(),
+                "skeleton": sweep.skeleton.describe(),
                 "cyclomatic": c,
-                "min_tau": str(mt),
-                "min_vertices": mv,
+                "min_tau": str(sweep.min_tau),
+                "min_vertices": sweep.min_vertices,
                 "status": "swept",
                 "assignments_tried": 0,
                 "witnesses": [],
             }
-            if mt > n:
+            if sweep.min_tau > n:
                 entry["status"] = "pruned_tau"
-            elif mv >= vertex_budget:
+            elif sweep.min_vertices >= vertex_budget:
                 entry["status"] = "pruned_budget"
             else:
-                tried, hits = sweep.find_assignments(n, vertex_budget)
+                tried, hits = sweep.find_assignments(n, vertex_budget, room)
+                kept = [] if hits is None else sweep.orbit_least(hits)
+                if hits is None or len(kept) > room:
+                    raise GraphError(
+                        f"witness ceiling exceeded: {max_witnesses + 1} witness "
+                        f"classes so far for n = {n} below budget {vertex_budget}, "
+                        f"above max_witnesses {max_witnesses}"
+                    )
+                room -= len(kept)
                 entry["assignments_tried"] = tried
-                for vec in sweep.orbit_least(hits):
-                    if len(witnesses) == max_witnesses:
-                        raise GraphError(
-                            f"witness ceiling exceeded: {max_witnesses + 1} witness "
-                            f"classes so far for n = {n} below budget {vertex_budget}, "
-                            f"above max_witnesses {max_witnesses}"
-                        )
-                    g = sweep.build(vec)
-                    entry["witnesses"].append(_graph_dict(g))
-                    witnesses.append(g)
+                swept.append((sweep, kept, entry["witnesses"]))
             entries.append(entry)
         levels.append({"cyclomatic": c, "min_tau": str(level_min), "skeletons": entries})
-        if level_min is not None and level_min > n:
+        if level_min > n:
             stop_reason = (
                 f"minimum count over cyclomatic number {c} is {level_min} > {n}; "
                 "adding an ear raises the count by at least 2, so every higher "
@@ -817,6 +842,11 @@ def verify_no_smaller_graph(
             break
         c += 1
 
+    for sweep, kept, listed in swept:
+        for vec in kept:
+            g = subdivision(sweep.skeleton, vec)
+            listed.append(_graph_dict(g))
+            witnesses.append(g)
     return FixedPointReport(
         n, vertex_budget, not witnesses, witnesses, cycle_case, levels, stop_reason
     )

@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
-from treeforge.graph_core import Multigraph, canonical_form, cycle_graph
-from treeforge.search_oracle import Skeleton, _Sweep, enumerate_skeletons
+from treeforge.graph_core import Multigraph, canonical_form, cycle_graph, subdivision
+from treeforge.search_oracle import Skeleton, _sweeps
 
 
 def brute_tau(g: Multigraph) -> int:
@@ -340,15 +340,12 @@ def reference_witnesses(n: int, budget: int) -> list[Multigraph]:
         seen.add(canonical_form(witnesses[0]))
     c = 2
     while True:
-        level_min = None
-        for skel in enumerate_skeletons(c):
-            sweep = _Sweep(skel)
-            mt = sweep.min_tau()
-            level_min = mt if level_min is None else min(level_min, mt)
-            if mt > n or sweep.min_vertices() >= budget:
+        sweeps, level_min = _sweeps(c)
+        for sweep in sweeps:
+            if sweep.min_tau > n or sweep.min_vertices >= budget:
                 continue
             for vec in sweep.find_assignments(n, budget)[1]:
-                g = sweep.build(vec)
+                g = subdivision(sweep.skeleton, vec)
                 key = canonical_form(g)
                 if key not in seen:
                     seen.add(key)

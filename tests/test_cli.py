@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from treeforge import cli, tree_count
 from treeforge.cli import main
 from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
 from treeforge.graphio import format_edge_list, format_graph6
+from treeforge.minimal_builder import ExceptionClass
 
 from oracles import grid_graph, shuffled, square_of_cycle
 
@@ -134,6 +136,25 @@ def test_scan_violations(capsys):
         == rows[22 - 3]["exception_class"]
         == "beta_and_quarter_exceptional"
     )
+
+
+def test_scan_and_verify_bounds_read_the_reported_class(capsys, monkeypatch):
+    # both commands take n's exception class from check_bounds' report:
+    # reported as exempt from nothing, 10 and 22 fail the quarter bounds
+    check_bounds = cli.check_bounds
+
+    def exempt_from_nothing(n, w):
+        return dataclasses.replace(check_bounds(n, w), exception_class=ExceptionClass.NONE)
+
+    monkeypatch.setattr(cli, "check_bounds", exempt_from_nothing)
+    code, out, _ = run(capsys, "scan", "3", "30", "--json")
+    summary = json.loads(out.strip().splitlines()[-1])["summary"]
+    assert code == 0
+    assert summary["edges_quarter_violations_in_scope"] == [5, 6, 7, 9, 10, 13, 14, 17, 18, 22, 25]
+    checked, failures = cli._verify_bounds(30)
+    assert checked == 28
+    assert {"n": 10, "problem": "quarter bound failed"} in failures
+    assert {"n": 10, "problem": "third bound failed"} in failures
 
 
 def test_scan_jobs_deterministic(capsys):

@@ -203,6 +203,13 @@ class TestCanonicalForm:
             keys.append(key)
         assert len(set(keys)) == 4  # C_300 and 2 C_150 are both 2-regular
 
+    def test_too_deep_search_raises_graph_error(self):
+        # the search recurses once per individualized vertex, and the star
+        # K_{1,1200} individualizes 1,199 leaves
+        star = Multigraph.from_edges(1201, [(0, i) for i in range(1, 1201)])
+        with pytest.raises(GraphError, match="canonical-form recursion too deep on 1201 vertices"):
+            canonical_form(star)
+
 
 class TestTwoEdgeConnectivity:
     def test_cycle(self):

@@ -61,3 +61,26 @@ def test_level_calls_traced_attributes(monkeypatch):
     search_oracle._level(5, 64)
     search_oracle.clear_level_cache()
     assert calls["tau_matrix"] >= calls["canonical_form"] > 0
+
+
+def test_verifier_calls_traced_enumerate_skeletons(monkeypatch):
+    # the traced search_oracle.enumerate_skeletons.calls and .found read
+    # calls to this module attribute; the level tables call it once per
+    # cyclomatic number and process
+    from treeforge import search_oracle
+
+    inner = search_oracle.enumerate_skeletons
+    levels = []
+
+    def wrapped(cyclomatic):
+        levels.append(cyclomatic)
+        return inner(cyclomatic)
+
+    monkeypatch.setattr(search_oracle, "enumerate_skeletons", wrapped)
+    search_oracle._sweeps.cache_clear()
+    try:
+        search_oracle.verify_no_smaller_graph(10, 10)
+        search_oracle.verify_no_smaller_graph(12, 12)
+    finally:
+        search_oracle._sweeps.cache_clear()
+    assert levels == [2, 3]

@@ -17,6 +17,7 @@ from treeforge.graph_core import (
     cycle_graph,
     delete_edge,
     is_two_edge_connected,
+    subdivision,
 )
 from treeforge.search_oracle import (
     SKELETON_CEILING,
@@ -25,6 +26,7 @@ from treeforge.search_oracle import (
     Skeleton,
     _Sweep,
     _level,
+    _sweeps,
     alpha_exact,
     beta_exact,
     clear_level_cache,
@@ -380,11 +382,20 @@ class TestSkeletons:
         for graphs in buckets.values():
             for a, b in combinations(graphs, 2):
                 assert not nx.is_isomorphic(a, b)
-        assert min(_Sweep(s).min_tau() for s in skels) == 75
+        assert _sweeps(5)[1] == 75
 
     def test_cached_per_cyclomatic_number(self):
         assert enumerate_skeletons(3) is enumerate_skeletons(3)
         assert isinstance(enumerate_skeletons(3), tuple)
+
+    def test_sweep_table_per_level(self):
+        # one cached table per level: the sweeps in skeleton order and the
+        # level's least count
+        for c, least in ((2, 8), (3, 16), (4, 40)):
+            sweeps, level_min = _sweeps(c)
+            assert _sweeps(c)[0] is sweeps
+            assert tuple(sweep.skeleton for sweep in sweeps) == enumerate_skeletons(c)
+            assert level_min == least == min(sweep.tau(sweep.mins) for sweep in sweeps)
 
     def test_min_degree_holds(self):
         for c in (2, 3, 4):
@@ -393,12 +404,13 @@ class TestSkeletons:
                 assert all(s.degree(v) >= 3 for v in range(s.vertex_count))
 
     def test_subdivision_tau_matches_matrix(self):
-        for s in enumerate_skeletons(3):
-            sweep = _Sweep(s)
+        for sweep in _sweeps(3)[0]:
             lengths = sweep.mins
-            assert sweep.tau(lengths) == tau_matrix(sweep.build(lengths))
+            g = subdivision(sweep.skeleton, lengths)
+            assert sweep.tau(lengths) == sweep.min_tau == tau_matrix(g)
+            assert sweep.min_vertices == g.vertex_count
             bumped = [l + 1 for l in lengths]
-            assert sweep.tau(bumped) == tau_matrix(sweep.build(bumped))
+            assert sweep.tau(bumped) == tau_matrix(subdivision(sweep.skeleton, bumped))
 
     def test_monotonicity_by_finite_differences(self):
         # strictly increasing in every non-bridge coordinate, constant in
@@ -588,6 +600,54 @@ class TestWitnessCeiling:
         # (27, 80) has 13,388 classes
         with pytest.raises(GraphError, match=f"{WITNESS_CEILING + 1} witness classes"):
             verify_no_smaller_graph(27, 80)
+
+    def test_hits_beyond_the_orbit_bound_are_not_listed(self):
+        # more than k * orbit_bound() hits hold more than k classes, so the
+        # sweep returns no list; below that it lists every hit as before
+        returned_none = 0
+        for c in (2, 3, 4):
+            for sweep in _sweeps(c)[0]:
+                for n, budget in ((12, 20), (16, 24), (24, 30), (27, 40)):
+                    tried, hits = sweep.find_assignments(n, budget)
+                    if not hits:
+                        continue
+                    classes = len(sweep.orbit_least(hits))
+                    for k in (0, 1, 2, 5, 20):
+                        got_tried, got = sweep.find_assignments(n, budget, k)
+                        assert got_tried == tried
+                        if got is None:
+                            returned_none += 1
+                            assert len(hits) > k * sweep.orbit_bound() and classes > k
+                        else:
+                            assert got == hits
+        assert returned_none > 50
+
+    def test_raises_before_listing_or_building(self, monkeypatch):
+        # at budget 300 one two-bridge skeleton has 42,486 hits: they are
+        # counted, not listed, and no witness graph is built before the
+        # whole list is known to fit
+        two_bridges = Skeleton(3, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)))
+        assert _Sweep(two_bridges).find_assignments(27, 300, WITNESS_CEILING)[1] is None
+        listed = []
+        orbit_least = _Sweep.orbit_least
+
+        def counting(sweep, hits):
+            listed.append(len(hits))
+            return orbit_least(sweep, hits)
+
+        def no_build(*args):
+            raise AssertionError("a witness graph was built")
+
+        monkeypatch.setattr(_Sweep, "orbit_least", counting)
+        monkeypatch.setattr(search_oracle, "subdivision", no_build)
+        for budget in (300, 3000):
+            with pytest.raises(
+                GraphError,
+                match=f"^witness ceiling exceeded: {WITNESS_CEILING + 1} witness classes so "
+                f"far for n = 27 below budget {budget}, above max_witnesses {WITNESS_CEILING}$",
+            ):
+                verify_no_smaller_graph(27, budget)
+        assert max(listed) < 10_000
 
     def test_rejects_a_ceiling_below_one(self):
         with pytest.raises(GraphError):
