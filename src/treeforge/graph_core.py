@@ -484,18 +484,24 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
             if enc != best[0]:
                 return len(path)
             _, best_lab, best_path = best
+            # sigma maps each ancestor's target cell onto itself, so only
+            # the points it moves can join orbits there
             sigma = [0] * n
+            moved = []
             for a, b in zip(best_lab, lab):
                 sigma[a] = b
+                if a != b:
+                    moved.append(a)
             gens.append(sigma)
             d = 0
             while path[d] == best_path[d]:
                 d += 1
             for parent in orbits[: d + 1]:
-                for x in parent:
-                    a, b = _find(parent, x), _find(parent, sigma[x])
-                    if a != b:
-                        parent[a] = b
+                for x in moved:
+                    if x in parent:
+                        a, b = _find(parent, x), _find(parent, sigma[x])
+                        if a != b:
+                            parent[a] = b
             return d
         c = 0
         while size[c] == 1:

@@ -25,8 +25,11 @@ class ParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Multigraph:
+    """Read the edge-list format in one pass: every line is checked as
+    Multigraph.from_edges would check it, with its line number, and
+    repeated pairs add up their multiplicities."""
     n = None
-    pairs: list[tuple[int, int, int]] = []
+    acc: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,10 +60,11 @@ def parse_edge_list(text: str) -> Multigraph:
             raise ParseError(f"edge ({u},{v}) out of range for {n} vertices", lineno)
         if m < 1:
             raise ParseError(f"multiplicity {m} must be >= 1", lineno)
-        pairs.append((u, v, m))
+        key = (u, v) if u < v else (v, u)
+        acc[key] = acc.get(key, 0) + m
     if n is None:
         raise ParseError("empty input: missing 'p <vertex_count>' header")
-    return Multigraph.from_edges(n, pairs)
+    return Multigraph(n, tuple(sorted((u, v, m) for (u, v), m in acc.items())))
 
 
 def format_edge_list(g: Multigraph) -> str:

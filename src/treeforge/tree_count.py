@@ -26,16 +26,22 @@ p, the next pivot is the touched neighbour of p with the smallest new row,
 if that row is no longer than p's was (every untouched row is at least
 that long); otherwise it is the (row size, label) minimum of a lazy heap. A
 row is pushed again only when its size changes, and stale heap entries are
-skipped when popped. Rows are rescaled lazily (the per-step factor
-pivot/previous_pivot telescopes), so eliminating a pivot with d live
-neighbours costs O(d^2) entry updates plus O(d log V) heap work and
-touches no other row. When the smallest live row spans every live row, the
-live block is complete; from then on the elimination runs densely, as
-Bareiss on the upper triangle of a list of lists, if the block has at least
-DENSE_TAIL_MIN rows (on smaller ones the dict elimination is faster).
-Graphs with fill-in (grids, random graphs) pay about f^3 big-integer steps
-for a final complete front of f rows, and dense graphs O(V^3), on integers
-no larger than P times the minors of the Laplacian.
+skipped when popped. Each entry of the symmetric matrix is stored once,
+with the step it was last brought up to. Eliminating a pivot with d live
+neighbours updates each unordered pair of them, diagonal included, once,
+and touches no other entry: an entry outside the pivot's neighbourhood
+only picks up the factor pivot/previous_pivot, which telescopes, so it is
+rescaled when it is next read. That is d(d + 1)/2 updates and at most
+(d + 1)(d + 2)/2 rescalings, each one multiplication and one exact
+division of big integers, plus O(d log V) heap work. In a connected core
+no entry becomes 0 (the sign argument is in _core_cofactor). When the
+smallest live row spans every live row, the live block is complete; from
+then on the elimination runs densely, as Bareiss on the upper triangle of
+a list of lists, if the block has at least DENSE_TAIL_MIN rows (on smaller
+ones the dict elimination is faster). Graphs with fill-in (grids, random
+graphs) pay about f^3 big-integer steps for a final complete front of f
+rows, and dense graphs O(V^3), on integers no larger than P times the
+minors of the Laplacian.
 
 tau_dc counts on (t, f)-weighted edges: an edge adds the factor t to a
 spanning tree that contains it and f to one that does not, so tau is the sum
@@ -175,6 +181,31 @@ def _core_cofactor(adj: dict) -> TreeCount:
     spanning forests of products of t/f (the all-minors matrix-tree
     theorem, Chaiken 1982), and P holds every f once. Scaling by lcm(f)
     instead would multiply every minor by a growing power of the lcm.
+
+    Each entry of the symmetric matrix is one [value, stage] cell, shared
+    by rows[i][j] and rows[j][i]: value is the entry after stage steps.
+    Step k + 1, with pivot p, changes only the entries (i, j) with i and j
+    both live neighbours of p: each unordered pair, diagonal included, is
+    updated once, as (x piv - f_i f_j) // pivots[k], after x, f_i and f_j
+    are brought to stage k. Any other entry x only picks up the factor
+    piv / pivots[k], so an entry left at stage s is read at stage k as
+    x pivots[k] // pivots[s], exactly: each step's factor kept it an
+    integer. A pivot with d live neighbours thus costs d (d + 1) / 2
+    updates and at most (d + 1) (d + 2) / 2 rescalings, each a
+    multiplication and an exact big-integer division, plus O(d log V)
+    heap work.
+
+    No update gives 0 in a connected core. Its rows, P L with the root
+    deleted, form a nonsingular M-matrix, and so does every Schur
+    complement of it: diagonal entries stay positive and off-diagonal ones
+    nonpositive, and a Bareiss entry is its Schur complement entry times a
+    positive leading minor. Between two neighbours of p the update is
+    x - f_i f_j / piv with x <= 0 and f_i, f_j < 0, so it is strictly
+    negative in any core, while the pivots so far are positive: fill-in
+    never cancels. Only a diagonal entry can reach 0, and only when its
+    Schur complement is singular, that is when the core is disconnected;
+    the count is then 0.
+
     Pivots are exact minimum degree: the next pivot is the touched neighbour
     of the last one with the smallest new row if that row is no longer than
     the last pivot's, else the shortest row with the lowest label. The chain
@@ -191,32 +222,25 @@ def _core_cofactor(adj: dict) -> TreeCount:
             if u < v:
                 scale *= f
     root = min(adj)
-    rows: dict[int, dict[int, int]] = {v: {} for v in adj if v != root}
+    rows: dict[int, dict[int, list[int]]] = {v: {} for v in adj if v != root}
+    diagonal = dict.fromkeys(rows, 0)
     for u, nb in adj.items():
         for v, (t, f) in nb.items():
             if u < v:  # so only u can be the root
                 w = t * (scale // f)
-                rv = rows[v]
-                rv[v] = rv.get(v, 0) + w
+                diagonal[v] += w
                 if u != root:
-                    ru = rows[u]
-                    ru[u] = ru.get(u, 0) + w
-                    ru[v] = rv[u] = -w
+                    diagonal[u] += w
+                    rows[u][v] = rows[v][u] = [-w, 0]
+    for v, row in rows.items():
+        row[v] = [diagonal[v], 0]
 
     pivots = [scale]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
-    stage = dict.fromkeys(rows, 0)  # step each row was last brought up to
     # (row size, label) for every live row; entries go stale when a row is
     # eliminated or changes size and are skipped when popped
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
     chained = None  # label of the neighbour the chain goes on to, if any
-
-    def catch_up(i: int, target: int) -> None:
-        num, den = pivots[target], pivots[stage[i]]
-        row = rows[i]
-        for j in row:
-            row[j] = row[j] * num // den
-        stage[i] = target
 
     while rows:
         if chained is None:
@@ -228,43 +252,44 @@ def _core_cofactor(adj: dict) -> TreeCount:
         else:  # size already holds the length of its row
             p = chained
             prow = rows[p]
-        if p not in prow:
-            # positive semidefinite: a zero diagonal means the whole row is
-            # zero, so the remaining block is singular (g is disconnected)
-            return 0
         cur = len(pivots) - 1
+        prev = pivots[cur]
         if size >= DENSE_TAIL_MIN and size == len(rows):
-            # every live row spans every live row: fold the lazy scaling in
-            # and finish the complete block densely
-            prev = pivots[cur]
+            # every live row spans every live row: bring every entry to
+            # this stage and finish the complete block densely
             order = list(rows)
             block = []
             for i in order:
-                row, den = rows[i], pivots[stage[i]]
-                block.append([row[j] * prev // den for j in order])
+                cells = map(rows[i].__getitem__, order)
+                block.append([x if s == cur else x * prev // pivots[s] for x, s in cells])
             return _dense_bareiss(block, prev)
-        if stage[p] != cur:
-            catch_up(p, cur)
         del rows[p]
-        piv = prow.pop(p)  # prow now holds only the live neighbours of p
-        prev = pivots[cur]
-        chained = None
-        for i in prow:
-            if stage[i] != cur:
-                catch_up(i, cur)
+        piv, s = prow.pop(p)  # prow now holds only the live neighbours of p
+        if s != cur:
+            piv = piv * prev // pivots[s]
+        # (label, entry (p, i) at this stage, row, row size with p)
+        front = []
+        for i, (f, s) in prow.items():
             row = rows[i]
-            before = len(row)
-            f = row.pop(p)
-            for j, pj in prow.items():
-                val = (row.get(j, 0) * piv - f * pj) // prev
-                if val:
-                    row[j] = val
-                else:
-                    row.pop(j, None)
-            for j in list(row):
-                if j not in prow:
-                    row[j] = row[j] * piv // prev
-            stage[i] = cur + 1
+            front.append((i, f if s == cur else f * prev // pivots[s], row, len(row)))
+            del row[p]
+        nxt = cur + 1
+        for a, (i, fi, ri, _) in enumerate(front):
+            for j, fj, rj, _ in front[a:]:
+                cell = ri.get(j)
+                if cell is None:  # fill-in, strictly negative
+                    ri[j] = rj[i] = [-fi * fj // prev, nxt]
+                    continue
+                x, s = cell
+                if s != cur:
+                    x = x * prev // pivots[s]
+                x = (x * piv - fi * fj) // prev
+                if not x:
+                    return 0  # a zero diagonal: the core is disconnected
+                cell[0] = x
+                cell[1] = nxt
+        chained = None
+        for i, _, row, before in front:
             after = len(row)
             if after != before:
                 heappush(heap, (after, i))

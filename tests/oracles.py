@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately naive: spanning trees by enumerating edge
-subsets, isomorphism by trying all vertex permutations, representations by
-a bare triple loop. None of it shares code with the package, except the
-two pre-pruning references at the end: they keep the code paths that the
-skeleton prune and the orbit-least witness filter replaced, canonical_form
-included, so that the pruned versions can be checked to change no output.
+subsets or, modulo a prime, by dense Gaussian elimination, isomorphism by
+trying all vertex permutations, representations by a bare triple loop.
+None of it shares code with the package, except the two pre-pruning
+references at the end: they keep the code paths that the skeleton prune
+and the orbit-least witness filter replaced, canonical_form included, so
+that the pruned versions can be checked to change no output.
 """
 
 from __future__ import annotations
@@ -46,6 +47,40 @@ def brute_tau(g: Multigraph) -> int:
         if ok:
             count += 1
     return count
+
+
+#: The Mersenne prime 2^61 - 1.
+P61 = (1 << 61) - 1
+
+
+def det_mod_p(g: Multigraph, p: int) -> int:
+    """The spanning-tree count of g modulo the prime p: the determinant of
+    the Laplacian with vertex 0 deleted, by dense Gaussian elimination over
+    the integers mod p, swapping rows for a nonzero pivot."""
+    n = g.vertex_count
+    lap = [[0] * n for _ in range(n)]
+    for u, v, m in g.edges:
+        lap[u][u] += m
+        lap[v][v] += m
+        lap[u][v] -= m
+        lap[v][u] -= m
+    a = [[x % p for x in row[1:]] for row in lap[1:]]
+    det = 1
+    for c in range(n - 1):
+        r = next((r for r in range(c, n - 1) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        ac = a[c]
+        det = det * ac[c] % p
+        inv = pow(ac[c], -1, p)
+        for r in range(c + 1, n - 1):
+            f = a[r][c] * inv % p
+            if f:
+                a[r][c:] = [(x - f * y) % p for x, y in zip(a[r][c:], ac[c:])]
+    return det % p
 
 
 def brute_isomorphic(

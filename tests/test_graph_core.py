@@ -22,7 +22,7 @@ from treeforge.graph_core import (
 
 from treeforge.tree_count import tau_matrix
 
-from oracles import brute_isomorphic, brute_tau, random_connected_multigraph
+from oracles import brute_isomorphic, brute_tau, random_connected_multigraph, shuffled
 
 
 def doubled_edge():
@@ -202,6 +202,39 @@ class TestCanonicalForm:
                 assert canonical_form(g.relabeled(perm)) == key
             keys.append(key)
         assert len(set(keys)) == 4  # C_300 and 2 C_150 are both 2-regular
+
+    def test_stars_and_shuffled_graphs_match_brute_isomorphism(self, rng):
+        # a star with parallel edges meets an automorphism for every pair of
+        # twin leaves, and each joins orbits in its ancestors' cells; the
+        # other side is a shuffled copy, in half the cases with one edge
+        # moved to a new endpoint, so that some pairs are not isomorphic
+        def star(k):
+            return Multigraph.from_edges(
+                k + 1, [(0, i, rng.choice((1, 1, 2))) for i in range(1, k + 1)]
+            )
+
+        pool = [star(k) for k in range(1, 7) for _ in range(5)]
+        pool += [random_connected_multigraph(rng, max_vertices=7) for _ in range(40)]
+        agree = 0
+        for g in pool:
+            h = shuffled(g, rng)
+            if rng.random() < 0.5:
+                edges = list(h.edges)
+                u, v, m = edges.pop(rng.randrange(len(edges)))
+                edges.append((u, rng.choice([w for w in range(h.vertex_count) if w != u]), m))
+                h = Multigraph.from_edges(h.vertex_count, edges)
+            iso = brute_isomorphic(g, h)
+            assert (canonical_form(g) == canonical_form(h)) == iso
+            agree += iso
+        assert 0 < agree < len(pool)
+        # larger stars, against relabelled copies and one doubled edge more
+        for k in (40, 120):
+            g = star(k)
+            key = canonical_form(g)
+            assert canonical_form(shuffled(g, rng)) == key
+            u, v, m = next(e for e in g.edges if e[2] == 1)
+            more = Multigraph.from_edges(k + 1, [*g.edges, (u, v, 1)])
+            assert canonical_form(shuffled(more, rng)) != key
 
     def test_too_deep_search_raises_graph_error(self):
         # the search recurses once per individualized vertex, and the star

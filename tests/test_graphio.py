@@ -50,6 +50,19 @@ def test_edge_errors_match_from_edges(entry):
     assert str(got.value) == f"line 3: {want.value}"
 
 
+def test_load_graph_matches_from_edges(rng):
+    # repeated pairs, in either orientation, with and without a
+    # multiplicity column, add up as from_edges adds them
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        entries = []
+        for _ in range(rng.randint(0, 30)):
+            u, v = rng.sample(range(n), 2)
+            entries.append((u, v) if rng.random() < 0.5 else (u, v, rng.randint(1, 4)))
+        text = f"p {n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in entries)
+        assert load_graph(text) == Multigraph.from_edges(n, entries)
+
+
 def test_graph6_round_trip():
     for g in (cycle_graph(5), complete_graph(6), Multigraph(3, ()), Multigraph(1, ())):
         assert parse_graph6(format_graph6(g)) == g

@@ -21,7 +21,9 @@ from treeforge.search_oracle import _Sweep, enumerate_skeletons
 from treeforge.tree_count import tau_dc, tau_matrix, tau_subdivision
 
 from oracles import (
+    P61,
     brute_tau,
+    det_mod_p,
     fib,
     grid_graph,
     random_connected_multigraph,
@@ -159,6 +161,40 @@ class TestTauMatrix:
         # keys stay sound within each call, over all 2,000 graphs: a key that
         # lost a weight placement would hand one core's count to another
         assert [tau_dc(g) for g in graphs] == expected
+
+    def test_large_counts_match_determinant_mod_p(self, rng, monkeypatch):
+        # counts of hundreds of bits against an elimination mod 2^61 - 1 that
+        # shares no code with tree_count, once with the dense tail and once
+        # with a floor above every size, so that only the sparse phase runs
+        def sparse(k, max_mult):
+            pairs = {(rng.randrange(v), v) for v in range(1, k)}
+            while len(pairs) < 2 * k:
+                u, v = sorted(rng.sample(range(k), 2))
+                pairs.add((u, v))
+            return Multigraph.from_edges(k, [(u, v, rng.randint(1, max_mult)) for u, v in pairs])
+
+        def k4_and_k5(root_in_k4):
+            # the root is the least label, 0: the other clique is singular
+            rest = list(range(1, 9))
+            rng.shuffle(rest)
+            labels = [0, *rest] if root_in_k4 else [*rest[:4], 0, *rest[4:]]
+            return Multigraph.from_edges(
+                9, [*combinations(labels[:4], 2), *combinations(labels[4:], 2)]
+            )
+
+        large = [shuffled(grid_graph(10, 12), rng) for _ in range(2)]
+        large += [shuffled(sparse(rng.randint(100, 120), m), rng) for m in (1, 1, 1, 3, 3, 3)]
+        expected = [det_mod_p(g, P61) for g in large]
+        assert all(expected)
+        cliques = [k4_and_k5(True), k4_and_k5(False)]
+        assert [det_mod_p(g, P61) for g in cliques] == [0, 0]
+        blocks = spy_dense_tail(monkeypatch)
+        for floor in (tree_count.DENSE_TAIL_MIN, 10**9):
+            monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
+            blocks.clear()
+            assert [tau_matrix(g) % P61 for g in large] == expected
+            assert [tau_matrix(g) for g in cliques] == [0, 0]
+            assert bool(blocks) == (floor < 10**9)
 
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
