@@ -1,8 +1,8 @@
 """Immutable undirected multigraphs and their edge operations (deletion,
-contraction, path attachment, subdivision), canonical labeling and
-automorphism groups, and blocks and bridges. The counters of tree_count
-work on their own adjacency dicts; of this module they use the block split
-(_blocks, which takes such dicts) and the Skeleton type.
+contraction, path attachment, subdivision), canonical labeling, its
+first leaf and automorphism groups, and blocks and bridges. The counters
+of tree_count work on their own adjacency dicts; of this module they use
+the block split (_blocks, which takes such dicts) and the Skeleton type.
 
 Vertices are always labeled 0..n-1. Parallel edges are stored as integer
 multiplicities on unordered pairs. Loops are never stored: contraction
@@ -314,6 +314,10 @@ def subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> Multigraph:
 # search only lists the automorphisms it meets, which automorphisms()
 # closes into the whole group. Symmetric graphs (complete graphs, cycles,
 # stars) explore about two children per level.
+#
+# first_leaf() walks only the search's first path (_root, then
+# _individualize on the least vertex of each target cell): a relabelling of
+# the graph that is cheap to compare, though not canonical.
 
 
 def _refine_partition(
@@ -404,6 +408,27 @@ def canonical_form(g: Multigraph, colors: Sequence[int] | None = None) -> bytes:
     return _canonical_search(g, colors)[0]
 
 
+def first_leaf(g: Multigraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The vertex count and the relabelled, sorted edge list at the first
+    leaf of canonical_form's search: from the refined root, individualize
+    the least-labelled vertex of the first non-singleton cell at each node
+    until the partition is discrete. The leaf is a relabelling of g, so
+    equal values prove two graphs isomorphic; unequal values prove nothing,
+    since isomorphic graphs may reach different first leaves. It costs one
+    path of the search, not the search.
+    """
+    n = g.vertex_count
+    if n == 0:
+        return 0, ()
+    nbrs, queued, count, node = _root(g, [0] * n)
+    while node[4] < n:
+        lab, size = node[0], node[3]
+        c = _target_cell(size)
+        v = min(lab[c : c + size[c]])
+        node = _individualize(nbrs, queued, count, node, c, v)
+    return n, _leaf_edges(g.edges, node[1])
+
+
 def automorphisms(g: Multigraph, colors: Sequence[int] | None = None) -> list[tuple[int, ...]]:
     """Every color-preserving automorphism of g, as the tuple of vertex
     images, in lexicographic order: the closure of the automorphisms that
@@ -426,6 +451,89 @@ def automorphisms(g: Multigraph, colors: Sequence[int] | None = None) -> list[tu
     return sorted(group)
 
 
+# A search node is (lab, pos, cellof, size, cells): the ordered partition
+# and its cell count.
+_Node = tuple[list[int], list[int], list[int], list[int], int]
+
+
+def _root(
+    g: Multigraph, colors: Sequence[int]
+) -> tuple[list[list[tuple[int, int]]], list[bool], list[int], _Node]:
+    """The search's neighbour lists (with multiplicities), its scratch
+    arrays for _refine_partition (queued flags, edge counts) and its root
+    node: the color classes in increasing color order, refined."""
+    n = g.vertex_count
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in g.edges:
+        nbrs[u].append((v, m))
+        nbrs[v].append((u, m))
+    queued = [False] * n
+    count = [0] * n
+    lab = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    cellof = [0] * n
+    size = [0] * n
+    queue = [0]
+    for i, v in enumerate(lab):
+        pos[v] = i
+        if colors[v] != colors[lab[queue[-1]]]:
+            size[queue[-1]] = i - queue[-1]
+            queue.append(i)
+        cellof[v] = queue[-1]
+    size[queue[-1]] = n - queue[-1]
+    for w in queue:
+        queued[w] = True
+    cells = _refine_partition(nbrs, lab, pos, cellof, size, queue, queued, count, len(queue))
+    return nbrs, queued, count, (lab, pos, cellof, size, cells)
+
+
+def _target_cell(size: list[int]) -> int:
+    """Start of the first non-singleton cell of a partition that is not
+    discrete."""
+    c = 0
+    while size[c] == 1:
+        c += 1
+    return c
+
+
+def _individualize(
+    nbrs: list[list[tuple[int, int]]],
+    queued: list[bool],
+    count: list[int],
+    node: _Node,
+    c: int,
+    v: int,
+) -> _Node:
+    """The child of ``node`` in which v, a vertex of the cell starting at
+    c, becomes a singleton at that cell's tail, refined with only that
+    singleton queued. The parent's arrays are left unchanged."""
+    lab, pos, cellof, size, cells = node
+    k = size[c]
+    tail = c + k - 1
+    clab, cpos, ccell, csize = list(lab), list(pos), list(cellof), list(size)
+    i = cpos[v]
+    y = clab[tail]
+    clab[i] = y
+    cpos[y] = i
+    clab[tail] = v
+    cpos[v] = tail
+    ccell[v] = tail
+    csize[c] = k - 1
+    csize[tail] = 1
+    queued[tail] = True
+    ccells = _refine_partition(nbrs, clab, cpos, ccell, csize, [tail], queued, count, cells + 1)
+    return clab, cpos, ccell, csize, ccells
+
+
+def _leaf_edges(
+    edges: tuple[tuple[int, int, int], ...], pos: list[int]
+) -> tuple[tuple[int, int, int], ...]:
+    """The edge list relabelled by a discrete partition's positions, sorted."""
+    return tuple(
+        sorted((pos[u], pos[v], m) if pos[u] < pos[v] else (pos[v], pos[u], m) for u, v, m in edges)
+    )
+
+
 def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[bytes, list]:
     """canonical_form's key, and the automorphisms its search meets."""
     n = g.vertex_count
@@ -436,48 +544,16 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
     if len(init) != n:
         raise GraphError("colors must assign one value per vertex")
     edges = g.edges
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, m in edges:
-        nbrs[u].append((v, m))
-        nbrs[v].append((u, m))
-    queued = [False] * n
-    count = [0] * n
+    nbrs, queued, count, root = _root(g, init)
 
-    lab = sorted(range(n), key=init.__getitem__)
-    pos = [0] * n
-    cellof = [0] * n
-    size = [0] * n
-    queue = [0]
-    for i, v in enumerate(lab):
-        pos[v] = i
-        if init[v] != init[lab[queue[-1]]]:
-            size[queue[-1]] = i - queue[-1]
-            queue.append(i)
-        cellof[v] = queue[-1]
-    size[queue[-1]] = n - queue[-1]
-    for w in queue:
-        queued[w] = True
-    cells = _refine_partition(nbrs, lab, pos, cellof, size, queue, queued, count, len(queue))
-
-    best: list = [None, lab, ()]  # least edge list, its leaf's lab and path
+    best: list = [None, root[0], ()]  # least edge list, its leaf's lab and path
     orbits: list[dict[int, int]] = []  # union-find over the target cell, per depth
 
-    def search(
-        lab: list[int],
-        pos: list[int],
-        cellof: list[int],
-        size: list[int],
-        cells: int,
-        path: tuple[int, ...],
-    ) -> int:
+    def search(node: _Node, path: tuple[int, ...]) -> int:
         """Explore the node at ``path``; return the depth to resume at."""
+        lab, pos, _, size, cells = node
         if cells == n:
-            enc = tuple(
-                sorted(
-                    (pos[u], pos[v], m) if pos[u] < pos[v] else (pos[v], pos[u], m)
-                    for u, v, m in edges
-                )
-            )
+            enc = _leaf_edges(edges, pos)
             if best[0] is None or enc < best[0]:
                 best[:] = enc, lab, path
                 return len(path)
@@ -503,12 +579,8 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
                         if a != b:
                             parent[a] = b
             return d
-        c = 0
-        while size[c] == 1:
-            c += 1
-        k = size[c]
-        tail = c + k - 1
-        parent = {x: x for x in lab[c : tail + 1]}
+        c = _target_cell(size)
+        parent = {x: x for x in lab[c : c + size[c]]}
         orbits.append(parent)
         explored: list[int] = []
         for v in sorted(parent):
@@ -516,21 +588,8 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
             if any(_find(parent, u) == r for u in explored):
                 continue
             explored.append(v)
-            clab, cpos, ccell, csize = list(lab), list(pos), list(cellof), list(size)
-            i = cpos[v]
-            y = clab[tail]
-            clab[i] = y
-            cpos[y] = i
-            clab[tail] = v
-            cpos[v] = tail
-            ccell[v] = tail
-            csize[c] = k - 1
-            csize[tail] = 1
-            queued[tail] = True
-            ccells = _refine_partition(
-                nbrs, clab, cpos, ccell, csize, [tail], queued, count, cells + 1
-            )
-            resume = search(clab, cpos, ccell, csize, ccells, path + (v,))
+            child = _individualize(nbrs, queued, count, node, c, v)
+            resume = search(child, path + (v,))
             if resume < len(path):
                 break
         else:
@@ -539,7 +598,7 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
         return resume
 
     try:
-        search(lab, pos, cellof, size, cells, ())
+        search(root, ())
     except RecursionError:
         raise GraphError(f"canonical-form recursion too deep on {n} vertices") from None
     return repr((n, tuple(sorted(init)), best[0])).encode(), gens

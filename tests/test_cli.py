@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeforge
 from treeforge import cli, tree_count
 from treeforge.cli import main
 from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
@@ -23,6 +28,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [(("count", "--spec", "theta:2,3,4"), 0, "26\n"), (("alpha", "25", "--max-vertices", "12"), 2, "")],
+    ids=["count", "exit 2"],
+)
+def test_python_m_treeforge(argv, code, out):
+    # the package runs as a module, with main's exit code
+    src = str(Path(treeforge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeforge", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert (proc.stderr == "") == (code == 0)
 
 
 def test_count_k4(tmp_path, capsys):
@@ -240,6 +265,7 @@ def test_idoneal_commands(capsys):
         ("idoneal", "--scan", str(cli.IDONEAL_SCAN_MAX + 1)),
         ("idoneal", str(cli.IDONEAL_SCAN_MAX + 1)),
         ("scan", "3", "10", "--jobs", "0"),
+        ("scan", "3", str(cli.SCAN_MAX + 1)),
         ("count", "--spec", "theta:1,1"),
         ("alpha", "25", "--max-vertices", "12"),
         ("beta", "25", "--max-edges", "13"),

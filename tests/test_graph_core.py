@@ -15,6 +15,7 @@ from treeforge.graph_core import (
     contract_edge,
     cycle_graph,
     delete_edge,
+    first_leaf,
     is_simple,
     is_two_edge_connected,
     path_graph,
@@ -22,7 +23,13 @@ from treeforge.graph_core import (
 
 from treeforge.tree_count import tau_matrix
 
-from oracles import brute_isomorphic, brute_tau, random_connected_multigraph, shuffled
+from oracles import (
+    brute_isomorphic,
+    brute_tau,
+    random_connected_multigraph,
+    random_simple_connected,
+    shuffled,
+)
 
 
 def doubled_edge():
@@ -242,6 +249,34 @@ class TestCanonicalForm:
         star = Multigraph.from_edges(1201, [(0, i) for i in range(1, 1201)])
         with pytest.raises(GraphError, match="canonical-form recursion too deep on 1201 vertices"):
             canonical_form(star)
+
+
+class TestFirstLeaf:
+    def test_equal_first_leaves_are_isomorphic(self, rng):
+        # graphs, relabelled copies and copies with one edge moved, grouped
+        # by first leaf: every group is one isomorphism class
+        pool = []
+        for i in range(200):
+            if i % 2:
+                g = random_connected_multigraph(rng, max_vertices=6, max_mult=2)
+            else:
+                g = random_simple_connected(rng, max_vertices=6)
+            pool += [g, shuffled(g, rng), shuffled(g, rng)]
+            edges = list(g.edges)
+            u, v, m = edges.pop(rng.randrange(len(edges)))
+            edges.append((u, rng.choice([w for w in range(g.vertex_count) if w != u]), m))
+            pool.append(shuffled(Multigraph.from_edges(g.vertex_count, edges), rng))
+        groups: dict = {}
+        for g in pool:
+            groups.setdefault(first_leaf(g), []).append(g)
+        for (n, edges), members in groups.items():
+            leaf = Multigraph(n, edges)
+            assert all(brute_isomorphic(leaf, g) for g in members)
+        assert len(groups) < len(pool) / 2  # relabelled copies often agree
+
+    def test_empty_and_single_vertex(self):
+        assert first_leaf(Multigraph(0)) == (0, ())
+        assert first_leaf(Multigraph(1)) == (1, ())
 
 
 class TestTwoEdgeConnectivity:

@@ -58,7 +58,10 @@ def test_level_calls_traced_attributes(monkeypatch):
     for name in calls:
         monkeypatch.setattr(search_oracle, name, counter(name))
     search_oracle.clear_level_cache()
-    search_oracle._level(5, 64)
+    # canonical_form only decides candidates whose first leaves disagree
+    # with every class of their count and degree signature; level 7 has such
+    # a pair (two 4-regular graphs), level 5 has none
+    search_oracle._level(7, None)
     search_oracle.clear_level_cache()
     assert calls["tau_matrix"] >= calls["canonical_form"] > 0
 

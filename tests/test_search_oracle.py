@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import networkx as nx
 import numpy as np
@@ -16,6 +17,7 @@ from treeforge.graph_core import (
     complete_graph,
     cycle_graph,
     delete_edge,
+    first_leaf,
     is_two_edge_connected,
     subdivision,
 )
@@ -25,7 +27,10 @@ from treeforge.search_oracle import (
     SearchKind,
     Skeleton,
     _Sweep,
+    _adjacency_masks,
     _level,
+    _new_class,
+    _signature,
     _sweeps,
     alpha_exact,
     beta_exact,
@@ -136,29 +141,110 @@ def test_level_store(monkeypatch):
     for k in (2, 3, 4):
         assert search_oracle._levels[k][0] == list(reference_level(k, 69)), k
 
-    # extending (k, 128) after (k, 64) canonicalises only the new classes
+    # extending (k, 128) after (k, 64) deduplicates only the new classes
     clear_level_cache()
     _level(6, 64)
     counts = []
 
-    def counted(g, *args, **kwargs):
-        counts.append(tau_matrix(g))
-        return canonical_form(g, *args, **kwargs)
+    def counted(buckets, key, cand):
+        counts.append(tau_matrix(cand))
+        return _new_class(buckets, key, cand)
 
-    monkeypatch.setattr(search_oracle, "canonical_form", counted)
+    monkeypatch.setattr(search_oracle, "_new_class", counted)
     assert _level(6, 128) == reference_level(6, 128)
     assert counts and min(counts) > 64
 
     # a request inside served caps is the store filtered: nothing is counted
-    # or canonicalised
+    # or deduplicated
     def forbidden(*args, **kwargs):
         raise AssertionError("called for a level inside served caps")
 
-    monkeypatch.setattr(search_oracle, "canonical_form", forbidden)
-    monkeypatch.setattr(search_oracle, "tau_matrix", forbidden)
+    for name in ("_new_class", "first_leaf", "canonical_form", "tau_matrix"):
+        monkeypatch.setattr(search_oracle, name, forbidden)
     for key in [(6, 100, None), (6, 64, 9), (5, 128, None), (6, 1, 1)]:
         assert _level(*key) == reference_level(*key), key
     clear_level_cache()
+
+
+def _dedup_key(g):
+    """The (count, signature) under which _level files g, read off g minus
+    its last vertex as _level reads it off the parent."""
+    v = g.vertex_count - 1
+    parent = Multigraph(v, tuple(e for e in g.edges if e[1] != v))
+    bits = sum(1 << a for a, b, _ in g.edges if b == v)
+    return tau_matrix(g), _signature(_adjacency_masks(parent), bits)
+
+
+# (level, first arrival, later arrival, same class): two 4-regular graphs
+# on 7 vertices whose first leaves differ, and two graphs with 12 trees,
+# 9 edges and one degree signature that are not isomorphic
+FALLBACK_PAIRS = {
+    "isomorphic, first leaves differ": (
+        (7, None),
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (1, 6),
+         (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)],
+        [(0, 1), (0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (1, 6),
+         (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 6)],
+        True,
+    ),
+    "same count and signature, not isomorphic": (
+        (8, 64),
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (3, 7), (5, 6)],
+        [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 5), (2, 6), (4, 7), (5, 7)],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_PAIRS)
+def test_level_dedup_falls_back_to_canonical_form(monkeypatch, name):
+    # a pair that first leaves cannot settle is decided by canonical_form,
+    # both in _new_class alone and where _level meets it
+    (k, cap), first, later, same = FALLBACK_PAIRS[name]
+    a, b = Multigraph.from_edges(k, first), Multigraph.from_edges(k, later)
+    key = _dedup_key(a)
+    assert _dedup_key(b) == key
+    assert first_leaf(a) != first_leaf(b)
+    assert brute_isomorphic(a, b) == same
+
+    decided = []
+
+    def recorded(g, *args, **kwargs):
+        decided.append(g)
+        return canonical_form(g, *args, **kwargs)
+
+    monkeypatch.setattr(search_oracle, "canonical_form", recorded)
+    buckets = {}
+    assert _new_class(buckets, key, a)
+    assert _new_class(buckets, key, b) == (not same)
+    assert decided == [b, a]
+    assert len(buckets[key]) == (1 if same else 2)
+
+    decided.clear()
+    clear_level_cache()
+    level = _level(k, cap)
+    clear_level_cache()
+    assert decided == [b, a]  # the only pair of the level left to it
+    reps = [g for g, t in level if t == key[0] and g.edge_count == a.edge_count]
+    reps = [g for g in reps if _dedup_key(g) == key]
+    assert [g for g in reps if brute_isomorphic(g, a)] == [a]
+    assert [g for g in reps if brute_isomorphic(g, b)] == [a if same else b]
+
+
+def test_level_mass_formula():
+    # the labelled connected graphs on k vertices, counted by the recurrence
+    # c_k = 2^C(k,2) - sum_{j<k} C(k-1, j-1) c_j 2^C(k-j,2) (Harary & Palmer,
+    # Graphical Enumeration, 1973), are the sum of k!/|Aut(G)| over the
+    # classes; no class is listed to count them
+    c = {}
+    for k in range(1, 9):
+        c[k] = 2 ** comb(k, 2) - sum(
+            comb(k - 1, j - 1) * c[j] * 2 ** comb(k - j, 2) for j in range(1, k)
+        )
+    assert [c[k] for k in range(2, 9)] == [1, 4, 38, 728, 26704, 1866256, 251548592]
+    for k in range(2, 9):
+        mass = sum(factorial(k) // len(automorphisms(g)) for g, _ in _level(k, None))
+        assert mass == c[k], k
 
 
 def _twin_split(cand):
