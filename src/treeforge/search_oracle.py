@@ -78,7 +78,7 @@ DEFAULT_VERTEX_CEILING = 9
 BETA_EDGE_CEILING = 12
 #: Largest cyclomatic number whose skeletons verify_no_smaller_graph
 #: enumerates. Level 5, first needed at n = 40, enumerates its 1,076
-#: skeletons in about 1 s; what stays unbounded is the witness list: at
+#: skeletons in about 0.2 s; what stays unbounded is the witness list: at
 #: level 5, verify_no_smaller_graph(72, 72) lists 132,244 witness classes
 #: in 21 s and 656 MB (CPython 3.11, 2-vCPU VM). The ceiling stays at 4
 #: until the effect of WITNESS_CEILING on such runs is measured.
@@ -463,19 +463,27 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
 
 def _transposition_sources(
     v: int, cells: list[tuple[int, int]]
-) -> list[list[int]]:
-    """For each vertex transposition (a b), a < b, the index of the cell
-    that each cell's count comes from when the counts are permuted by it."""
+) -> list[tuple[tuple[int, int], ...]]:
+    """For each vertex transposition (a b), a < b, the cells it moves, as
+    (position, source) pairs in ascending position order: the count at
+    position comes from the source cell when the counts are permuted by
+    it. A transposition swaps its moved cells in pairs, so only the pair
+    with position < source is listed: the mirror pair at the source
+    position compares the same two counts, later, and ties whenever it is
+    reached. A cell the transposition fixes compares equal to its own
+    image, so it is left out too."""
     index = {cell: k for k, cell in enumerate(cells)}
     out = []
     for a in range(v):
         for b in range(a + 1, v):
             swap = {a: b, b: a}
-            src = []
-            for i, j in cells:
+            moved = []
+            for p, (i, j) in enumerate(cells):
                 x, y = swap.get(i, i), swap.get(j, j)
-                src.append(index[(x, y) if x <= y else (y, x)])
-            out.append(src)
+                s = index[(x, y) if x <= y else (y, x)]
+                if s > p:
+                    moved.append((p, s))
+            out.append(tuple(moved))
     return out
 
 
@@ -504,40 +512,74 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
     survivors are still deduplicated by the canonical form of their
     residue (Skeleton.residue, loop counts as colors), and the classes,
     representatives and their order are those of the unpruned enumeration.
+
+    The comparisons are made incrementally, and cut exactly the nodes that
+    comparing every prefix afresh would cut. Only the cells a transposition
+    moves can differ from their images, and of each swapped pair only the
+    first (_transposition_sources): a pair (p, s), p < s, compares the
+    image counts[s] with counts[p] once cell s is fixed. A node's fixed
+    prefix extends its parent's, and the fixed counts never change below
+    it, so ``advance`` resumes each transposition at the pair where the
+    parent's comparison stopped. ``live`` holds the transpositions still
+    tied, each with that pending pair. One that resolves larger, or whose
+    pairs all tie, can never cut a node below, so it leaves ``live`` for
+    the whole subtree; one that resolves smaller cuts the node. A pending
+    pair (p, idx), idx the cell being placed, is the first comparison each
+    child makes for its transposition, and with count m at idx it cuts the
+    child exactly when m < counts[p]. So the children are tried from the
+    largest such counts[p] up, and those skipped are exactly children that
+    the comparison would cut. (A pending pair cannot have its position at
+    idx and its source below: its mirror, which comes first, would be
+    pending instead, so there is no matching upper bound.)
+
+    The degree cuts remove the same subtrees as testing every node.
+    ``deficit``, the sum of max(0, 3 - deg) over the vertices, is carried
+    down rather than summed at each node. A node whose deficit exceeds
+    twice its remaining slots has no leaf of minimum degree 3 (at a leaf:
+    a deficit above 0), and the parent tests this before the call. Count m
+    at the cell lowers the deficit by at most 2m and the remaining slots
+    by m, so the child's excess, deficit - 2 * remaining, never falls as m
+    grows, and the first child over it ends the loop. The root is never
+    over, since 3v <= 2(v + cyclomatic - 1). Cells are sorted, so once the
+    block of cells (i, *) is entered, at cell (i, i), no vertex below i
+    gains degree. Testing only vertex i - 1 at that entry suffices: every
+    node of the block lies below the entry, and the vertices below i - 1
+    were tested at the entries of earlier blocks.
     """
     if cyclomatic < 2:
         raise GraphError("skeletons here have cyclomatic number >= 2")
     found: dict[bytes, Skeleton] = {}
     for v in range(1, 2 * (cyclomatic - 1) + 1):
         e = v + cyclomatic - 1
-        cells = [(i, j) for i in range(v) for j in range(i, v)]
-        # cells are ordered so that all cells touching vertex i precede the
-        # block where every endpoint exceeds i; once we leave that block,
-        # vertex i's degree is final
-        cells.sort()
-        sources = _transposition_sources(v, cells)
-        counts = [0] * len(cells)
+        cells = [(i, j) for i in range(v) for j in range(i, v)]  # sorted
+        ncells = len(cells)
+        counts = [0] * ncells
         deg = [0] * v
 
-        def beaten(fixed: int) -> bool:
-            """Some transposition maps the first ``fixed`` counts to a
-            lexicographically smaller prefix."""
-            for src in sources:
-                for p in range(fixed):
-                    s = src[p]
-                    if s >= fixed:
+        def advance(fixed: int, live: list) -> list | None:
+            """The transpositions of live still tied on the first ``fixed``
+            counts, each with its pending pair, or None when one maps them
+            to a smaller prefix."""
+            out = []
+            for moved, k in live:
+                p, s = moved[k]
+                while s < fixed:
+                    a, b = counts[s], counts[p]
+                    if a != b:
+                        if a < b:
+                            return None
                         break
-                    if counts[s] != counts[p]:
-                        if counts[s] < counts[p]:
-                            return True
+                    k += 1
+                    if k == len(moved):
                         break
-            return False
+                    p, s = moved[k]
+                else:
+                    out.append((moved, k))
+            return out
 
-        def place(idx: int, remaining: int) -> None:
-            if beaten(len(cells) if remaining == 0 else idx):
-                return
+        def place(idx: int, remaining: int, deficit: int, live: list) -> None:
             if remaining == 0:
-                if any(d < 3 for d in deg):
+                if advance(ncells, live) is None:
                     return
                 slots = []
                 for cell, m in zip(cells, counts):
@@ -547,29 +589,36 @@ def enumerate_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
                 if residue.is_connected():
                     found.setdefault(canonical_form(residue, colors=loops), skel)
                 return
-            if idx == len(cells):
-                return
-            deficit = sum(max(0, 3 - d) for d in deg)
-            if deficit > 2 * remaining:
+            if idx == ncells:
                 return
             i, j = cells[idx]
-            # cells are sorted, so vertices below the current block's first
-            # endpoint cannot gain any more degree
-            if any(deg[x] < 3 for x in range(i)):
+            if i == j and i and deg[i - 1] < 3:
                 return
+            live = advance(idx, live)
+            if live is None:
+                return
+            lo = 0
+            for moved, k in live:
+                p, s = moved[k]
+                if s == idx and counts[p] > lo:
+                    lo = counts[p]
+            # m loops (i == j) add 2m to deg[i]: both increments below land there
             gain = 2 if i == j else 1
-            for m in range(remaining + 1):
+            need_i = max(0, 3 - deg[i])
+            need_j = 0 if i == j else max(0, 3 - deg[j])
+            for m in range(lo, remaining + 1):
+                left = deficit - min(need_i, gain * m) - min(need_j, m)
+                if left > 2 * (remaining - m):
+                    break
                 counts[idx] = m
-                deg[i] += gain * m
-                if i != j:
-                    deg[j] += m
-                place(idx + 1, remaining - m)
-                deg[i] -= gain * m
-                if i != j:
-                    deg[j] -= m
+                deg[i] += m
+                deg[j] += m
+                place(idx + 1, remaining - m, left, live)
+                deg[i] -= m
+                deg[j] -= m
             counts[idx] = 0
 
-        place(0, e)
+        place(0, e, 3 * v, [(moved, 0) for moved in _transposition_sources(v, cells)])
     return tuple(sorted(found.values(), key=lambda s: (s.vertex_count, s.slots)))
 
 
@@ -597,11 +646,11 @@ class _Sweep:
     Built once per skeleton and process, in the level table ``_sweeps``,
     so every query reuses the terms, the slot split, the minimal lengths,
     the least count and vertex total (``min_tau``, ``min_vertices``) and,
-    once some query has hits, the automorphisms: those of the skeleton's
-    residue that keep its loop counts, closed by graph_core.automorphisms
-    from the ones canonical_form's search meets. Missing ones could only
-    keep duplicate witnesses, never drop a class, so no verdict depends on
-    them.
+    once some query has hits, the automorphisms and the slot map of each:
+    those of the skeleton's residue that keep its loop counts, closed by
+    graph_core.automorphisms from the ones canonical_form's search meets.
+    Missing ones could only keep duplicate witnesses, never drop a class,
+    so no verdict depends on them.
 
     Witnesses are deduplicated without canonical forms (``orbit_least``).
     Suppressing the degree-2 vertices of a subdivision is canonical, so
@@ -647,6 +696,7 @@ class _Sweep:
         self.min_tau = self.tau(self.mins)
         self.min_vertices = skeleton.vertex_count + sum(l - 1 for l in self.mins)
         self._automorphisms: list[tuple[int, ...]] | None = None
+        self._maps: list[list[int]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
         return eval_terms(self.terms, lengths)
@@ -659,28 +709,54 @@ class _Sweep:
             self._automorphisms = automorphisms(*self.skeleton.residue())
         return self._automorphisms
 
+    def _slot_maps(self) -> list[list[int]]:
+        """Per automorphism sigma, where each slot's image length comes
+        from, as an index into the concatenation of every cell's sorted
+        lengths (cells in ``cells`` order): the slots of cell sigma(C), in
+        index order, get the lengths of cell C in ascending order. Computed
+        on first use and cached."""
+        if self._maps is None:
+            offsets, start = {}, 0
+            for cell, idxs in self.cells.items():
+                offsets[cell] = start
+                start += len(idxs)
+            self._maps = []
+            for sigma in self.automorphisms():
+                source = [0] * len(self.slots)
+                for (a, b), first in offsets.items():
+                    x, y = sigma[a], sigma[b]
+                    for rank, j in enumerate(self.cells[(x, y) if x <= y else (y, x)]):
+                        source[j] = first + rank
+                self._maps.append(source)
+        return self._maps
+
     def orbit_least(self, hits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """The hits that no automorphism maps to a lexicographically smaller
         vector. The image under sigma puts cell C's lengths, sorted
-        ascending, onto the slots of cell sigma(C) in index order."""
+        ascending, onto the slots of cell sigma(C) in index order.
+
+        Each hit's cells are sorted once and shared by every automorphism,
+        whose image is read slot by slot off them (_slot_maps). The image
+        is compared with the hit as it is read and the walk stops at the
+        first slot where they differ: that slot alone decides the
+        lexicographic comparison, so the verdict is that of building the
+        whole image and comparing it."""
         if not hits:
             return []
-        cells = self.cells
-        moves = []
-        for sigma in self.automorphisms():
-            move = []
-            for (a, b), idxs in cells.items():
-                x, y = sigma[a], sigma[b]
-                move.append((idxs, cells[(x, y) if x <= y else (y, x)]))
-            moves.append(move)
+        maps = self._slot_maps()
+        cell_slots = list(self.cells.values())
         kept = []
-        image = [0] * len(self.slots)
         for vec in hits:
-            for move in moves:
-                for src, dst in move:
-                    for j, l in zip(dst, sorted(vec[i] for i in src)):
-                        image[j] = l
-                if tuple(image) < vec:
+            flat = []
+            for idxs in cell_slots:
+                flat += sorted([vec[i] for i in idxs])
+            for source in maps:
+                for j, f in enumerate(source):
+                    if flat[f] != vec[j]:
+                        break
+                else:
+                    continue  # the image is the hit itself
+                if flat[f] < vec[j]:
                     break
             else:
                 kept.append(vec)

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: spanning trees by enumerating edge
 subsets or, modulo a prime, by dense Gaussian elimination, isomorphism by
 trying all vertex permutations, representations by a bare triple loop.
-None of it shares code with the package, except the two pre-pruning
-references at the end: they keep the code paths that the skeleton prune
+None of it shares code with the package, except the references at the
+end. Two are pre-pruning: they keep the code paths that the skeleton prune
 and the orbit-least witness filter replaced, canonical_form included, so
-that the pruned versions can be checked to change no output.
+that the pruned versions can be checked to change no output. Two keep the
+non-incremental forms of the prune and the filter, fast enough to check
+the incremental ones on level 5 and on large hit lists.
 """
 
 from __future__ import annotations
@@ -388,3 +390,108 @@ def reference_witnesses(n: int, budget: int) -> list[Multigraph]:
         if level_min > n:
             return witnesses
         c += 1
+
+
+def full_transposition_sources(v: int, cells: list[tuple[int, int]]) -> list[list[int]]:
+    """For each vertex transposition (a b), a < b, the index of the cell
+    that each cell's count comes from when the counts are permuted by it."""
+    index = {cell: k for k, cell in enumerate(cells)}
+    out = []
+    for a in range(v):
+        for b in range(a + 1, v):
+            swap = {a: b, b: a}
+            src = []
+            for i, j in cells:
+                x, y = swap.get(i, i), swap.get(j, j)
+                src.append(index[(x, y) if x <= y else (y, x)])
+            out.append(src)
+    return out
+
+
+def transposition_skeletons(cyclomatic: int) -> tuple[Skeleton, ...]:
+    """enumerate_skeletons with the transposition prune made from scratch
+    at every node: each transposition's comparison rescans the whole fixed
+    prefix, every cell included, and the degree checks are recomputed from
+    the degrees at each node. Level 5 takes about 0.6 s."""
+    found = {}
+    for v in range(1, 2 * (cyclomatic - 1) + 1):
+        e = v + cyclomatic - 1
+        cells = sorted((i, j) for i in range(v) for j in range(i, v))
+        sources = full_transposition_sources(v, cells)
+        counts = [0] * len(cells)
+        deg = [0] * v
+
+        def beaten(fixed):
+            for src in sources:
+                for p in range(fixed):
+                    s = src[p]
+                    if s >= fixed:
+                        break
+                    if counts[s] != counts[p]:
+                        if counts[s] < counts[p]:
+                            return True
+                        break
+            return False
+
+        def place(idx, remaining):
+            if beaten(len(cells) if remaining == 0 else idx):
+                return
+            if remaining == 0:
+                if any(d < 3 for d in deg):
+                    return
+                slots = []
+                for cell, m in zip(cells, counts):
+                    slots += [cell] * m
+                skel = Skeleton(v, tuple(slots))
+                residue, loops = skel.residue()
+                if residue.is_connected():
+                    found.setdefault(canonical_form(residue, colors=loops), skel)
+                return
+            if idx == len(cells):
+                return
+            if sum(max(0, 3 - d) for d in deg) > 2 * remaining:
+                return
+            i, j = cells[idx]
+            if any(deg[x] < 3 for x in range(i)):
+                return
+            gain = 2 if i == j else 1
+            for m in range(remaining + 1):
+                counts[idx] = m
+                deg[i] += gain * m
+                if i != j:
+                    deg[j] += m
+                place(idx + 1, remaining - m)
+                deg[i] -= gain * m
+                if i != j:
+                    deg[j] -= m
+            counts[idx] = 0
+
+        place(0, e)
+    return tuple(sorted(found.values(), key=lambda s: (s.vertex_count, s.slots)))
+
+
+def image_orbit_least(sweep, hits) -> list[tuple[int, ...]]:
+    """_Sweep.orbit_least by building each whole image: for every hit and
+    automorphism sigma, cell C's lengths, sorted ascending, go onto the
+    slots of cell sigma(C) in index order, and the hit is dropped when the
+    image is smaller."""
+    cells = sweep.cells
+    moves = []
+    for sigma in sweep.automorphisms():
+        move = []
+        for (a, b), idxs in cells.items():
+            x, y = sigma[a], sigma[b]
+            move.append((idxs, cells[(x, y) if x <= y else (y, x)]))
+        moves.append(move)
+    kept = []
+    image = [0] * len(sweep.slots)
+    for vec in hits:
+        for move in moves:
+            for src, dst in move:
+                for j, l in zip(dst, sorted(vec[i] for i in src)):
+                    image[j] = l
+            if tuple(image) < vec:
+                break
+        else:
+            kept.append(vec)
+    return kept

@@ -273,6 +273,7 @@ def test_idoneal_commands(capsys):
         ("fixedpoint", "27", "--max-witnesses", "441"),
         ("verify", "bounds", "--limit", "0"),
         ("verify", "bounds", "--limit", "2"),
+        ("verify", "bounds", "--limit", str(cli.SCAN_MAX + 1)),
         ("verify", "table1", "--limit", "5"),
         ("count", "-", "--spec", "theta:2,3,4"),
         ("idoneal", "11", "--scan", "100"),

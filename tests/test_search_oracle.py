@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -41,11 +42,15 @@ from treeforge.search_oracle import (
 )
 from treeforge.tree_count import tau_matrix
 
+import oracles
 from oracles import (
     brute_isomorphic,
     brute_subdivision_sweep,
+    full_transposition_sources,
+    image_orbit_least,
     reference_skeletons,
     reference_witnesses,
+    transposition_skeletons,
 )
 
 
@@ -447,6 +452,39 @@ class TestSkeletons:
         # transposition prune
         assert enumerate_skeletons(c) == reference_skeletons(c)
 
+    @pytest.mark.parametrize("c", (2, 3, 4, 5))
+    def test_equal_to_rescanning_reference(self, c, monkeypatch):
+        # the incremental comparisons, child bounds and carried deficit cut
+        # the same nodes as rescanning every prefix at every node: the same
+        # leaves, in the same order, reach canonical_form, not only the
+        # same classes
+        cached = enumerate_skeletons(c)
+        leaves = {search_oracle: [], oracles: []}
+        for module, seen in leaves.items():
+
+            def recording(residue, colors, seen=seen):
+                seen.append((residue.vertex_count, residue.edges, tuple(colors)))
+                return canonical_form(residue, colors=colors)
+
+            monkeypatch.setattr(module, "canonical_form", recording)
+        got = enumerate_skeletons.__wrapped__(c)
+        assert got == transposition_skeletons(c) == cached
+        assert leaves[search_oracle] == leaves[oracles]
+        assert len(leaves[oracles]) >= len(got)
+
+    def test_transposition_sources_list_moved_cells(self):
+        for v in range(1, 7):
+            cells = sorted((i, j) for i in range(v) for j in range(i, v))
+            full = full_transposition_sources(v, cells)
+            moved = search_oracle._transposition_sources(v, cells)
+            assert len(moved) == len(full) == v * (v - 1) // 2
+            for pairs, src in zip(moved, full):
+                # a transposition swaps cells in pairs; the mirror (s, p) of
+                # a listed pair is left out
+                assert all(src[s] == p for p, s in enumerate(src))
+                assert pairs == tuple((p, s) for p, s in enumerate(src) if s > p)
+                assert pairs  # (a, a) and (b, b) always swap
+
     def test_level_five(self):
         # 1,076 classes, the count of the unpruned enumerator (which takes
         # minutes); pairwise non-isomorphic under networkx's matcher,
@@ -662,6 +700,25 @@ class TestOrbits:
         for budget in (n, n + 6):
             got = verify_no_smaller_graph(n, budget).witnesses
             assert got == reference_witnesses(n, budget), (n, budget)
+
+    @pytest.mark.parametrize("n, budget", [(12, 20), (16, 24), (24, 30), (27, 40), (36, 36)])
+    def test_orbit_least_equals_whole_images(self, n, budget):
+        # the slot-by-slot walk keeps the hits that comparing whole images
+        # keeps; random vectors of short lengths add ties on long prefixes
+        rng = random.Random(n * budget)
+        swept = 0
+        for c in (2, 3, 4):
+            for sweep in _sweeps(c)[0]:
+                if sweep.min_tau > n or sweep.min_vertices >= budget:
+                    continue
+                hits = sweep.find_assignments(n, budget)[1]
+                vectors = [
+                    tuple(rng.randint(1, 3) for _ in sweep.slots) for _ in range(20)
+                ]
+                for vecs in (hits, vectors):
+                    assert sweep.orbit_least(vecs) == image_orbit_least(sweep, vecs)
+                swept += bool(hits)
+        assert swept > 0
 
     def test_36_36_witness_count(self):
         assert len(verify_no_smaller_graph(36, 36).witnesses) == 3094
