@@ -49,7 +49,11 @@ candidate is filed under its tree count and degree signature, a repeat is
 proved by an equal first leaf of canonical_form's search
 (graph_core.first_leaf), and canonical forms are computed only in a bucket
 where no first leaf matches. The _level docstring gives the arguments that
-both keep exactly the classes a canonical dedup keeps.
+both keep exactly the classes a canonical dedup keeps. A level rebuilt at
+larger caps (a higher count tier or edge cap) decides no candidate twice:
+_level keeps, per parent class and neighbour mask of the new vertex,
+whether a rule skipped the candidate and otherwise its count, and applies
+only the caps afresh.
 """
 
 from __future__ import annotations
@@ -88,6 +92,14 @@ SKELETON_CEILING = 4
 #: 442, 1,560, 5,524 and 13,388 classes (the last in 2.1 s and 107 MB,
 #: CPython 3.11, 2-vCPU VM); (36, 36) gives 3,094 and (36, 42) 5,094.
 WITNESS_CEILING = 10_000
+#: The most vertices, summed over the witnesses, that verify_no_smaller_graph
+#: lists. WITNESS_CEILING alone lets a budget with few classes per bridge
+#: length hold about budget**2 / 2 vertices: verify_no_smaller_graph(12, B)
+#: lists B - 4 classes, 499,502 vertices in 64 MB at B = 1000, so B = 10,000
+#: would need several GB. The largest tested list, (36, 42), holds 161,711
+#: vertices in 5,094 classes, and (27, 80) with max_witnesses 20,000 holds
+#: 802,621 in 13,388.
+WITNESS_VERTEX_CEILING = 1_000_000
 
 
 class SearchKind(enum.Enum):
@@ -214,16 +226,29 @@ def _new_class(buckets: dict[tuple, list[list]], key: tuple, cand: Multigraph) -
     return True
 
 
+def _extend(g: Multigraph, bits: int) -> Multigraph:
+    """g plus a new vertex joined to the vertices in the bit mask bits."""
+    old = g.vertex_count
+    pairs = list(g.edges) + [(v, old, 1) for v in range(old) if bits >> v & 1]
+    return Multigraph(old + 1, tuple(sorted(pairs)))
+
+
 Level = tuple[tuple[Multigraph, TreeCount], ...]
 
 # per vertex count k: every class built at k under any caps, sorted by
 # (edge_count, edges), and the level served for each (tau_cap, edge_cap)
 _levels: dict[int, tuple[list[tuple[Multigraph, TreeCount]], dict[tuple[float, float], Level]]] = {}
+# per parent class G of some level: [bit mask with bit S set for every mask
+# S that the twin or the max-degree rule skipped, {S: tau(G + v_S)} for
+# every candidate counted]; the _level docstring gives the argument
+_verdicts: dict[Multigraph, list] = {}
 
 
 def clear_level_cache() -> None:
-    """Forget every built level, so the next _level call builds cold."""
+    """Forget every built level and every stored candidate verdict, so the
+    next _level call builds cold."""
     _levels.clear()
+    _verdicts.clear()
 
 
 def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
@@ -253,8 +278,9 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
       and the class, and the swap carries a vertex that fires the
       max-degree rule on one to a vertex that fires it on the other.
       Twins are found from the adjacency masks at a parent's first
-      candidate within the caps, so a parent whose candidates all fail
-      the caps or the count bound does not look for them.
+      candidate with no stored verdict (below), so a parent whose
+      candidates all fail the caps or the count bound, or all have
+      verdicts, does not look for them.
     - Max-degree rule: skip C when some vertex u of G is a non-cut vertex
       of C with deg_C(u) > |S|. Then C - u is connected, its count is at
       most tau(C) and it has fewer edges, so its class is in level k-1
@@ -283,6 +309,24 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
     count and before the dedup, since its class is stored; only the other
     classes are built, merged into the store and sorted. A level does not
     depend on which levels were built before it.
+
+    Each (G, S) is decided once per process (_verdicts, emptied by
+    clear_level_cache). Per parent class G the twin and max-degree rules'
+    skips are kept as one bit mask over S, and every count in a dict from
+    S to tau(G + v_S). Both are pure functions of (G, S): the rules read
+    only G's adjacency and S, the count only the candidate, and G is the
+    class's representative, the same whichever caps built it. An extension
+    applies the caps, the count bound and the served test afresh to every
+    mask, in mask order, and reads a stored verdict before any other work.
+    Only a mask with no verdict builds the parent's masks, heavy vertices
+    and twins (at most once per parent and extension), runs the rules and
+    counts the candidate, which is built only to be counted or to reach the
+    dedup. Every mask thus gets the verdict it would get without the memo,
+    so the classes, their representatives and their order are unchanged
+    and a level still does not depend on which levels were built before
+    it. The memo holds at most one entry per mask tested within the caps.
+    In a traced exhaustive_search pass tau_matrix runs 2,792 times instead
+    of 4,943, and no candidate is counted twice.
 
     The dedup (_new_class) keys no candidate by canonical_form. It files
     each surviving candidate under its count and _signature (the sorted
@@ -321,38 +365,44 @@ def _level(k: int, tau_cap: int | None, edge_cap: int | None = None) -> Level:
         buckets: dict[tuple, list[list]] = {}
         old = k - 1
         for g, tau_g in _level(old, tau_cap, edge_cap):
-            edge_list = list(g.edges)
-            adj = _adjacency_masks(g)
-            heavy = _heavy_vertices(adj)
-            twins = None  # found at the first candidate within the caps
+            skipped, counts = verdicts = _verdicts.setdefault(g, [0, {}])
+            m = len(g.edges)
+            adj = heavy = None  # built at the first mask that needs them
             for bits in range(1, 1 << old):
                 s = bits.bit_count()
                 # g is simple, so the candidate has one edge per pair
-                e = len(edge_list) + s
-                if e > edge_cap or s * tau_g > tau_cap:
+                e = m + s
+                if e > edge_cap or s * tau_g > tau_cap or skipped >> bits & 1:
                     continue
-                if twins is None:
-                    twins = _twins(adj)
-                if any(bits & pair == w for pair, w in twins):
-                    continue
-                if any(
-                    (d > s or bits >> u & 1) and all(bits & c for c in comps)
-                    for d, u, comps in heavy[s]
-                ):
-                    continue
-                pairs = edge_list + [
-                    (v, old, 1) for v in range(old) if bits >> v & 1
-                ]
-                cand = Multigraph(k, tuple(sorted(pairs)))
-                t = tau_matrix(cand)  # cheaper than deduplicating, so filter first
+                t = counts.get(bits)
+                cand = None
+                if t is None:
+                    if heavy is None:
+                        if adj is None:
+                            adj = _adjacency_masks(g)
+                        heavy, twins = _heavy_vertices(adj), _twins(adj)
+                    if any(bits & pair == w for pair, w in twins) or any(
+                        (d > s or bits >> u & 1) and all(bits & c for c in comps)
+                        for d, u, comps in heavy[s]
+                    ):
+                        skipped |= 1 << bits
+                        continue
+                    cand = _extend(g, bits)
+                    # cheaper than deduplicating, so filter first
+                    t = counts[bits] = tau_matrix(cand)
                 if t > tau_cap or any(t <= tc and e <= ec for tc, ec in served):
                     continue  # over the cap, or its class is stored
+                if adj is None:
+                    adj = _adjacency_masks(g)
+                if cand is None:
+                    cand = _extend(g, bits)
                 if _new_class(buckets, (t, _signature(adj, bits)), cand):
                     new.append((cand, t))
+            verdicts[0] = skipped
         store += new
-        store.sort(key=lambda item: (item[0].edge_count, item[0].edges))
+        store.sort(key=lambda item: (len(item[0].edges), item[0].edges))
     served[caps] = level = tuple(
-        item for item in store if item[1] <= tau_cap and item[0].edge_count <= edge_cap
+        item for item in store if item[1] <= tau_cap and len(item[0].edges) <= edge_cap
     )
     return level
 
@@ -933,7 +983,10 @@ def verify_no_smaller_graph(
     minimum count at level 4 is 40, so every n <= 39 stops in time. Raises
     GraphError as soon as the list would hold more than max_witnesses
     classes: at the first skeleton whose hits hold more classes than there
-    is room for, and before any witness graph is built.
+    is room for, and before any witness graph is built. Raises GraphError
+    too, once every level is swept and before any witness graph is built,
+    when the listed witnesses hold more than WITNESS_VERTEX_CEILING
+    vertices in all.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
@@ -1003,6 +1056,20 @@ def verify_no_smaller_graph(
             break
         c += 1
 
+    # every witness has fewer than vertex_budget vertices, so only a long
+    # list needs its total; a subdivision adds l - 1 vertices on a slot of
+    # length l
+    if (max_witnesses - room) * vertex_budget > WITNESS_VERTEX_CEILING:
+        vertices = sum(g.vertex_count for g in witnesses) + sum(
+            len(kept) * (sweep.skeleton.vertex_count - len(sweep.slots)) + sum(map(sum, kept))
+            for sweep, kept, _ in swept
+        )
+        if vertices > WITNESS_VERTEX_CEILING:
+            raise GraphError(
+                f"witness ceiling exceeded: the {max_witnesses - room} witness classes for "
+                f"n = {n} below budget {vertex_budget} hold {vertices} vertices, above "
+                f"{WITNESS_VERTEX_CEILING}"
+            )
     for sweep, kept, listed in swept:
         for vec in kept:
             g = subdivision(sweep.skeleton, vec)

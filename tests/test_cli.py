@@ -271,6 +271,7 @@ def test_idoneal_commands(capsys):
         ("beta", "25", "--max-edges", "13"),
         ("fixedpoint", "40"),
         ("fixedpoint", "27", "--max-witnesses", "441"),
+        ("fixedpoint", "12", "--budget", "10000"),
         ("verify", "bounds", "--limit", "0"),
         ("verify", "bounds", "--limit", "2"),
         ("verify", "bounds", "--limit", str(cli.SCAN_MAX + 1)),

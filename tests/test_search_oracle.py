@@ -25,6 +25,7 @@ from treeforge.graph_core import (
 from treeforge.search_oracle import (
     SKELETON_CEILING,
     WITNESS_CEILING,
+    WITNESS_VERTEX_CEILING,
     SearchKind,
     Skeleton,
     _Sweep,
@@ -168,6 +169,49 @@ def test_level_store(monkeypatch):
         monkeypatch.setattr(search_oracle, name, forbidden)
     for key in [(6, 100, None), (6, 64, 9), (5, 128, None), (6, 1, 1)]:
         assert _level(*key) == reference_level(*key), key
+    clear_level_cache()
+
+
+@pytest.mark.parametrize("order", ["tiers up", "alpha then beta"])
+def test_level_counts_each_candidate_once(monkeypatch, order):
+    # extending levels at larger caps reuses every stored count: no
+    # candidate edge list is counted twice until clear_level_cache(), and
+    # a cold rebuild after it counts as much as the first build
+    counted = []
+
+    def tau(g):
+        counted.append(g.edges)
+        return tau_matrix(g)
+
+    monkeypatch.setattr(search_oracle, "tau_matrix", tau)
+    builds = []
+    for _ in range(2):
+        clear_level_cache()
+        counted.clear()
+        levels = [_level(*key) for key in BUILD_ORDERS[order]]
+        assert len(set(counted)) == len(counted) > 0
+        builds.append((levels, list(counted)))
+    clear_level_cache()
+    assert builds[0] == builds[1]
+
+
+def test_level_rebuild_reads_stored_verdicts(monkeypatch):
+    # with the levels forgotten but every (parent, mask) verdict kept, a
+    # rebuild under the same caps runs no rule and counts nothing
+    clear_level_cache()
+    expected = [_level(k, 128) for k in range(1, 8)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called for a parent whose masks all have verdicts")
+
+    for name in ("_twins", "_heavy_vertices", "tau_matrix"):
+        monkeypatch.setattr(search_oracle, name, forbidden)
+    search_oracle._levels.clear()
+    assert [_level(k, 128) for k in range(1, 8)] == expected
+    for cap in (64, 100):
+        search_oracle._levels.clear()
+        assert _level(7, cap) == reference_level(7, cap)
+    monkeypatch.undo()
     clear_level_cache()
 
 
@@ -791,6 +835,44 @@ class TestWitnessCeiling:
             ):
                 verify_no_smaller_graph(27, budget)
         assert max(listed) < 10_000
+
+    def test_vertex_ceiling_above_every_tested_list(self):
+        # (36, 42) holds the most vertices of any tested list; 10,000
+        # classes below 80 vertices hold fewer than the ceiling
+        report = verify_no_smaller_graph(36, 42)
+        assert sum(g.vertex_count for g in report.witnesses) == 161_711
+        assert WITNESS_VERTEX_CEILING >= WITNESS_CEILING * 80
+
+    def test_at_the_vertex_ceiling_the_transcript_is_unchanged(self, monkeypatch):
+        # (27, 27) lists 442 classes with 9,022 vertices, the 27-cycle included
+        full = verify_no_smaller_graph(27, 27)
+        assert sum(g.vertex_count for g in full.witnesses) == 9022
+        monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", 9022)
+        assert verify_no_smaller_graph(27, 27).to_dict() == full.to_dict()
+        monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", 9021)
+        with pytest.raises(GraphError, match="442 witness classes .* hold 9022 vertices, above 9021$"):
+            verify_no_smaller_graph(27, 27)
+
+    def test_vertex_ceiling_raises_before_building(self, monkeypatch):
+        # (12, B) lists B - 4 classes with about B**2 / 2 vertices, far
+        # below the class ceiling
+        def no_build(*args):
+            raise AssertionError("a witness graph was built")
+
+        witnesses = verify_no_smaller_graph(12, 300).witnesses
+        total = sum(g.vertex_count for g in witnesses)
+        assert (len(witnesses), total) == (296, 44_852)
+        monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", total - 1)
+        with pytest.raises(GraphError, match=f"296 witness classes .* hold {total} vertices"):
+            verify_no_smaller_graph(12, 300)
+        monkeypatch.undo()
+        monkeypatch.setattr(search_oracle, "subdivision", no_build)
+        with pytest.raises(
+            GraphError,
+            match=f"^witness ceiling exceeded: the 9996 witness classes for n = 12 below "
+            f"budget 10000 hold 49995002 vertices, above {WITNESS_VERTEX_CEILING}$",
+        ):
+            verify_no_smaller_graph(12, 10_000)
 
     def test_rejects_a_ceiling_below_one(self):
         with pytest.raises(GraphError):
