@@ -41,27 +41,12 @@ class Multigraph:
         """Build a graph from (u, v) or (u, v, multiplicity) entries.
 
         Repeated pairs accumulate multiplicity. Loops and out-of-range
-        labels are rejected.
+        labels are rejected (edge_triples, which the edge-list reader
+        shares).
         """
         if vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
-        acc: dict[tuple[int, int], int] = {}
-        for entry in pairs:
-            if len(entry) == 2:
-                u, v = entry
-                m = 1
-            else:
-                u, v, m = entry
-            if u == v:
-                raise GraphError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            if m < 1:
-                raise GraphError(f"multiplicity {m} must be >= 1")
-            key = (u, v) if u < v else (v, u)
-            acc[key] = acc.get(key, 0) + m
-        triples = tuple(sorted((u, v, m) for (u, v), m in acc.items()))
-        return Multigraph(vertex_count, triples)
+        return Multigraph(vertex_count, edge_triples(vertex_count, pairs))
 
     def multiplicity(self, u: int, v: int) -> int:
         if u > v:
@@ -110,6 +95,42 @@ class Multigraph:
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Multigraph({self.vertex_count}, {list(self.edges)!r})"
+
+
+def edge_triples(
+    vertex_count: int, entries: Iterable[Sequence[int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """The sorted (u, v, multiplicity) triples, u < v, of (u, v) and
+    (u, v, multiplicity) entries on vertex_count vertices; repeated pairs,
+    in either orientation, add up.
+
+    Each entry is checked as it is read, so a caller that produces entries
+    lazily knows which one failed: a loop, a label outside
+    0..vertex_count-1 or a multiplicity below 1 raises GraphError. A pair
+    is filed under the integer u * vertex_count + v, whose order is the
+    order of (u, v), so the sort compares integers, not tuples. The triples
+    share one int object per label, so a large graph holds one per vertex.
+    """
+    n = vertex_count
+    acc: dict[int, int] = {}
+    get = acc.get
+    for entry in entries:
+        if len(entry) == 2:
+            u, v = entry
+            m = 1
+        else:
+            u, v, m = entry
+        if u == v:
+            raise GraphError(f"loop at vertex {u} not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")
+        if m < 1:
+            raise GraphError(f"multiplicity {m} must be >= 1")
+        key = u * n + v if u < v else v * n + u
+        acc[key] = get(key, 0) + m
+    # a graph with more labels than its pairs can touch reads fresh ints
+    labels = list(range(n)) if n <= 2 * len(acc) else range(n)
+    return tuple([(labels[key // n], labels[key % n], acc[key]) for key in sorted(acc)])
 
 
 def is_simple(g: Multigraph) -> bool:

@@ -11,7 +11,7 @@ occur on read.
 
 from __future__ import annotations
 
-from .graph_core import GraphError, Multigraph, is_simple
+from .graph_core import GraphError, Multigraph, edge_triples, is_simple
 
 
 class ParseError(ValueError):
@@ -25,46 +25,65 @@ class ParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> Multigraph:
-    """Read the edge-list format in one pass: every line is checked as
-    Multigraph.from_edges would check it, with its line number, and
+    """Read the edge-list format in one pass: every line is checked with its
+    line number, by the checks of graph_core.edge_triples for its pair, and
     repeated pairs add up their multiplicities."""
-    n = None
-    acc: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if fields[0] != "p" or len(fields) != 2:
-                raise ParseError("expected header 'p <vertex_count>'", lineno)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {fields[1]!r}", lineno) from None
-            if n < 0:
-                raise ParseError("vertex count must be nonnegative", lineno)
-            continue
-        if len(fields) not in (2, 3):
-            raise ParseError("expected 'u v' or 'u v m'", lineno)
-        try:
-            nums = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
-        u, v = nums[0], nums[1]
-        m = nums[2] if len(nums) == 3 else 1
-        # the checks of Multigraph.from_edges, with the line number
-        if u == v:
-            raise ParseError(f"loop at vertex {u} not allowed", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) out of range for {n} vertices", lineno)
-        if m < 1:
-            raise ParseError(f"multiplicity {m} must be >= 1", lineno)
-        key = (u, v) if u < v else (v, u)
-        acc[key] = acc.get(key, 0) + m
-    if n is None:
+    lines = text.splitlines()
+    first = _first_line(lines)
+    if first is None:
         raise ParseError("empty input: missing 'p <vertex_count>' header")
-    return Multigraph(n, tuple(sorted((u, v, m) for (u, v), m in acc.items())))
+    return _edge_list(lines, *first)
+
+
+def _first_line(lines: list[str]) -> tuple[int, str] | None:
+    """The index of the first line that is neither blank nor only a
+    comment, and that line without its comment and surrounding blanks."""
+    for i, raw in enumerate(lines):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            return i, line
+    return None
+
+
+def _edge_list(lines: list[str], first: int, header: str) -> Multigraph:
+    """The edge-list graph whose header line is lines[first]."""
+    lineno = first + 1
+    fields = header.split()
+    if fields[0] != "p" or len(fields) != 2:
+        raise ParseError("expected header 'p <vertex_count>'", lineno)
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise ParseError(f"bad vertex count {fields[1]!r}", lineno) from None
+    if n < 0:
+        raise ParseError("vertex count must be nonnegative", lineno)
+
+    def entries():
+        # one (u, v) or (u, v, m) tuple per edge line; lineno is the line
+        # of the entry edge_triples reads, so it can name a line it rejects
+        nonlocal lineno
+        for lineno, raw in enumerate(lines[first + 1 :], first + 2):
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            fields = raw.split()
+            if not fields:
+                continue
+            size = len(fields)
+            if size != 2 and size != 3:
+                raise ParseError("expected 'u v' or 'u v m'", lineno)
+            try:
+                if size == 2:
+                    entry = int(fields[0]), int(fields[1])
+                else:
+                    entry = int(fields[0]), int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
+            yield entry
+
+    try:
+        return Multigraph(n, edge_triples(n, entries()))
+    except GraphError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def format_edge_list(g: Multigraph) -> str:
@@ -152,11 +171,11 @@ def load_graph(text: str, fmt: str | None = None) -> Multigraph:
         return parse_graph6(text)
     if fmt is not None:
         raise ParseError(f"unknown format {fmt!r}")
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("p ") or line == "p":
-            return parse_edge_list(text)
-        return parse_graph6(text)
-    raise ParseError("empty input")
+    lines = text.splitlines()
+    first = _first_line(lines)
+    if first is None:
+        raise ParseError("empty input")
+    line = first[1]
+    if line.startswith("p ") or line == "p":
+        return _edge_list(lines, *first)
+    return parse_graph6(text)

@@ -7,10 +7,13 @@ carry a conductance t/f, a pair of multiplicity m entering as m/1. A pendant
 vertex multiplies the count by its t, a vertex with two neighbours becomes
 the pair (t1 t2, t1 f2 + f1 t2) between them, pairs joined twice merge into
 (t1 f2 + f1 t2, f1 f2), and an isolated vertex while others are live means
-the graph is disconnected. This takes O(V) dict work, and trees, cycles,
-thetas and bouquets end here. The reduction is tau_matrix's own code, in
-Laplacian terms: it calls none of tau_dc's reductions or block split, so
-the two methods stay independent checks of each other.
+the graph is disconnected. A vertex with two neighbours goes with the whole
+maximal chain of such vertices through it: the chain's pairs are composed
+in series in one walk, its interior vertices are deleted once each and its
+two ends joined once, so the dict surgery is O(chains) and the walk O(V).
+Trees, cycles, thetas and bouquets end here. The reduction is tau_matrix's
+own code, in Laplacian terms: it calls none of tau_dc's reductions or block
+split, so the two methods stay independent checks of each other.
 
 The core left has minimum degree 3. Its least label is deleted as the root,
 its rows are P times its Laplacian, P the product of every f in the core,
@@ -103,8 +106,8 @@ def tau_matrix(g: Multigraph) -> TreeCount:
 
     Disconnected graphs give 0, the one-vertex graph gives 1. First every
     vertex with at most two live neighbours is Kron-reduced in closed form
-    (_kron_reduce), so trees, cycles, thetas and bouquets cost O(V) dict
-    work and no elimination. The core left, of minimum degree 3, is
+    (_kron_reduce), a chain of them at a time, so trees, cycles, thetas and
+    bouquets cost O(V) work and no elimination. The core left, of minimum degree 3, is
     eliminated by Bareiss on P L, P the product of its f, with P as the
     sentinel pivot (_core_cofactor): every entry is then P times a minor of
     L, an integer, and the last pivot is the count. A core pays exact
@@ -142,6 +145,24 @@ def _kron_reduce(adj: dict) -> TreeCount:
     An isolated vertex while others are live means g is disconnected. What
     is left is one vertex, or a core in which every vertex has at least
     three neighbours.
+
+    A vertex x with two neighbours is eliminated with the maximal chain of
+    two-neighbour vertices through it. The chain is walked from x through
+    its neighbour a up to a vertex that has not two neighbours, or up to
+    x's other neighbour b; then from x through b likewise, or up to the
+    first walk's end. Each walk composes the pairs it passes in series and
+    deletes each vertex it passes from adj. This is sound because series
+    composition is associative (and commutative): eliminating the chain's
+    vertices one at a time, in any order, leaves the same pair between its
+    ends as composing all of them at once. The ends are then joined once,
+    with the parallel merge and re-queue above. If both walks end at the
+    same vertex a, the chain is a cycle through a: x hangs at a by two
+    parallel pairs, which merge into (t1 f2 + f1 t2, f1 f2), and x is then
+    pendant, so the factor is t1 f2 + f1 t2 and a loses two neighbours and
+    is queued again. A component that is only a cycle stops the first walk
+    at x's other neighbour b, where it closes in the same way. Whatever its
+    length, a chain costs at most two deletions and two insertions in the
+    ends' rows, plus one deletion from adj per vertex.
     """
     factor = 1
     todo = [x for x, nb in adj.items() if len(nb) <= 2]
@@ -160,8 +181,34 @@ def _kron_reduce(adj: dict) -> TreeCount:
             todo.append(a)
             continue
         (a, (t1, f1)), (b, (t2, f2)) = nb.items()
-        ra, rb = adj[a], adj[b]
-        del ra[x], rb[x]
+        pa = pb = x
+        # walk from x through a, then from x through b, to the chain's ends
+        # a and b; pa and pb are the vertices before them
+        ra = adj[a]
+        while len(ra) == 2 and a != b:
+            for y in ra:
+                if y != pa:
+                    break
+            t, f = ra[y]
+            t1, f1 = t1 * t, t1 * f + f1 * t
+            del adj[a]
+            pa, a = a, y
+            ra = adj[a]
+        rb = adj[b]
+        while len(rb) == 2 and b != a:
+            for y in rb:
+                if y != pb:
+                    break
+            t, f = rb[y]
+            t2, f2 = t2 * t, t2 * f + f2 * t
+            del adj[b]
+            pb, b = b, y
+            rb = adj[b]
+        del ra[pa], rb[pb]
+        if a == b:  # a closed chain: a cycle hanging at a, or a whole component
+            factor *= t1 * f2 + f1 * t2
+            todo.append(a)
+            continue
         t, f = t1 * t2, t1 * f2 + f1 * t2
         old = ra.get(b)
         if old is not None:  # a and b each lose a neighbour

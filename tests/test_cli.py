@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import treeforge
-from treeforge import cli, tree_count
+from treeforge import cli, constructions, tree_count
 from treeforge.cli import main
 from treeforge.graph_core import Skeleton, complete_graph, cycle_graph, subdivision
 from treeforge.graphio import format_edge_list, format_graph6
@@ -123,6 +123,35 @@ def test_count_json_schema(tmp_path, capsys):
 def test_count_spec(capsys):
     code, out, _ = run(capsys, "count", "--spec", "theta:2,3,4")
     assert code == 0 and out.strip() == "26"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "theta:1000000000,2,3",
+        "glue:3,1000000000000",
+        "bouquet:3+1000001",
+        "gen:2+3+999999",
+        "v1:1000000,2,1,1;2",
+    ],
+)
+def test_count_spec_above_the_ceiling_builds_nothing(capsys, monkeypatch, spec):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a graph above the ceiling was built")
+
+    for name in ("subdivision", "add_path"):
+        monkeypatch.setattr(constructions, name, forbidden)
+    code, out, err = run(capsys, "count", "--spec", spec)
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert f"more than the ceiling of {constructions.SPEC_VERTEX_CEILING}" in err
+
+
+def test_count_spec_at_the_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "SPEC_VERTEX_CEILING", 11)
+    code, out, _ = run(capsys, "count", "--spec", "theta:4,4,4")  # 11 vertices
+    assert code == 0 and out.strip() == "48"
+    code, out, err = run(capsys, "count", "--spec", "theta:4,4,5")
+    assert code == 2 and out == "" and "12 vertices" in err
 
 
 def test_construct_30(capsys):

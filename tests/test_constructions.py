@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from treeforge import constructions
 from treeforge.constructions import (
     BouquetSpec,
     ThetaSpec,
@@ -221,6 +222,29 @@ class TestParseConstruction:
         assert t == 30
         g, t = parse_construction("v2:3,2,1,1;1,1")
         assert t == 24
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "theta:2,3,4",
+            "theta:1,5,9",
+            "glue:3,6",
+            "bouquet:3+5+7",
+            "gen:1+3+4+5",
+            "v0:4,2,1,1;1,1",
+            "v1:3,2,1,1;2",
+            "v2:3,2,4,3;1,1",
+        ],
+    )
+    def test_vertex_ceiling_is_the_built_vertex_count(self, text, monkeypatch):
+        # at the graph's own vertex count it is built, one below it is not
+        g, t = parse_construction(text)
+        monkeypatch.setattr(constructions, "SPEC_VERTEX_CEILING", g.vertex_count)
+        assert parse_construction(text) == (g, t)
+        monkeypatch.setattr(constructions, "SPEC_VERTEX_CEILING", g.vertex_count - 1)
+        ceiling = f"has {g.vertex_count} vertices, more than the ceiling of {g.vertex_count - 1}"
+        with pytest.raises(GraphError, match=ceiling):
+            parse_construction(text)
 
     def test_errors(self):
         with pytest.raises(GraphError):

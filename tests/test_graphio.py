@@ -50,9 +50,66 @@ def test_edge_errors_match_from_edges(entry):
     assert str(got.value) == f"line 3: {want.value}"
 
 
+HEADER = "expected header 'p <vertex_count>'"
+FIELDS = "expected 'u v' or 'u v m'"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", None, "empty input: missing 'p <vertex_count>' header"),
+        ("# only a comment\n\n  \n", None, "empty input: missing 'p <vertex_count>' header"),
+        ("0 1\n", 1, HEADER),
+        ("\n# c\n0 1\np 3\n", 3, HEADER),
+        ("p 3 4\n0 1\n", 1, HEADER),
+        ("p\n", 1, HEADER),
+        ("q 3\n", 1, HEADER),
+        ("p x\n0 1\n", 1, "bad vertex count 'x'"),
+        ("p -1\n", 1, "vertex count must be nonnegative"),
+        ("p 3\n0\n", 2, FIELDS),
+        ("p 3\n0 1 1 1\n", 2, FIELDS),
+        ("p 3\nx\n", 2, FIELDS),  # the field count is checked first
+        ("p 3\n0 x 1 1\n", 2, FIELDS),
+        ("p 3\n0 x\n", 2, "non-integer field in '0 x'"),
+        ("p 3\n0 1 1.5\n", 2, "non-integer field in '0 1 1.5'"),
+        ("p 3\n 0  x\t# note\n", 2, "non-integer field in '0  x'"),
+        ("p 3\n1 1\n", 2, "loop at vertex 1 not allowed"),
+        ("p 3\n1 1 0\n", 2, "loop at vertex 1 not allowed"),  # before the multiplicity
+        ("p 3\n0 3\n", 2, "edge (0,3) out of range for 3 vertices"),
+        ("p 3\n3 0\n", 2, "edge (3,0) out of range for 3 vertices"),
+        ("p 3\n-1 2\n", 2, "edge (-1,2) out of range for 3 vertices"),
+        ("p 0\n0 1\n", 2, "edge (0,1) out of range for 0 vertices"),
+        ("p 3\n0 1 0\n", 2, "multiplicity 0 must be >= 1"),
+        ("p 3\n0 1 -2\n", 2, "multiplicity -2 must be >= 1"),
+        ("# head\n\np 3\n  \n# c\n0 1\n\n1 x\n", 8, "non-integer field in '1 x'"),
+        ("p 3\r\n0\t1\r\n1 2 # c\r\n0 1 x\r\n", 4, "non-integer field in '0 1 x'"),
+        ("p 3\n0 1\n1 2 3\n2 2\n0 x\n", 4, "loop at vertex 2 not allowed"),  # the first bad line
+    ],
+)
+def test_edge_list_error_contract(text, line, message):
+    want = message if line is None else f"line {line}: {message}"
+    readers = [parse_edge_list, lambda t: load_graph(t, "edgelist")]
+    significant = [s for s in (raw.split("#")[0].strip() for raw in text.splitlines()) if s]
+    if significant and significant[0].startswith("p "):
+        readers.append(load_graph)  # detected as an edge list
+    for read in readers:
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert str(exc.value) == want
+        assert exc.value.line == line
+
+
+def test_edge_list_line_ends_tabs_and_comments():
+    text = "# a graph\r\np 4 # four\r\n\r\n0\t1\r\n 1 2 2 # doubled\r\n\t2  3\t#\r\n1 0 3"
+    want = Multigraph(4, ((0, 1, 4), (1, 2, 2), (2, 3, 1)))
+    assert parse_edge_list(text) == want
+    assert load_graph(text) == want
+
+
 def test_load_graph_matches_from_edges(rng):
     # repeated pairs, in either orientation, with and without a
-    # multiplicity column, add up as from_edges adds them
+    # multiplicity column, add up as from_edges adds them; the triples are
+    # sorted (u, v, m) with u < v, one per pair
     for _ in range(300):
         n = rng.randint(2, 9)
         entries = []
@@ -61,6 +118,18 @@ def test_load_graph_matches_from_edges(rng):
             entries.append((u, v) if rng.random() < 0.5 else (u, v, rng.randint(1, 4)))
         text = f"p {n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in entries)
         assert load_graph(text) == Multigraph.from_edges(n, entries)
+    for n in (60, 700, 2000):
+        entries = [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4))][:2000]
+        entries = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in entries]
+        entries += [(*rng.sample(range(n), 2), rng.randint(1, 3)) for _ in range(200)]
+        rng.shuffle(entries)
+        text = f"p {n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in entries)
+        g = load_graph(text)
+        assert g == Multigraph.from_edges(n, entries)
+        acc = {}
+        for u, v, *m in entries:
+            acc[min(u, v), max(u, v)] = acc.get((min(u, v), max(u, v)), 0) + (m[0] if m else 1)
+        assert g.edges == tuple(sorted((u, v, m) for (u, v), m in acc.items()))
 
 
 def test_graph6_round_trip():

@@ -107,9 +107,20 @@ class TestTauMatrix:
     def test_long_cycle_and_theta(self, rng):
         # linear elimination under any labelling: these take tens of seconds
         # with a quadratic pivot scan, and the shuffled theta's pivots grew
-        # to hundreds of bits when ties went to the lowest label
+        # to hundreds of bits when ties went to the lowest label; the
+        # Kron reduction takes each path of a theta, and each of 1,000
+        # triangles at one vertex, in one chain walk
         theta = subdivision(THETA, [3000, 3000, 3000])
-        for g, expected in ((cycle_graph(20000), 20000), (theta, 3 * 3000**2)):
+        long_theta = subdivision(THETA, [30000] * 3)
+        triangles = Multigraph.from_edges(
+            2001, [e for i in range(1, 2001, 2) for e in ((0, i), (i, i + 1), (i + 1, 0))]
+        )
+        for g, expected in (
+            (cycle_graph(20000), 20000),
+            (theta, 3 * 3000**2),
+            (long_theta, 3 * 30000**2),
+            (triangles, 3**1000),
+        ):
             assert tau_matrix(g) == expected
             assert tau_matrix(shuffled(g, rng)) == expected
         grid = grid_graph(16, 16)
@@ -342,6 +353,153 @@ class TestKronReduction:
         assert [tau_matrix(g) for g in witnesses] == list(range(3, 301))
         with pytest.raises(AssertionError):
             tau_dc(square_of_cycle(6))
+
+
+def chain(first: int, ends: tuple[int, int], mults) -> list[tuple[int, int, int]]:
+    """A chain of len(mults) pairs from ends[0] to ends[1] through new
+    vertices first, first + 1, ...; the i-th pair has multiplicity mults[i]."""
+    path = [ends[0], *range(first, first + len(mults) - 1), ends[1]]
+    return [(a, b, m) for a, b, m in zip(path, path[1:], mults)]
+
+
+class CountingRow(dict):
+    """A dict that counts the items set in it and deleted from it."""
+
+    def __init__(self, items, ops: list[int]):
+        super().__init__(items)
+        self.ops = ops
+
+    def __setitem__(self, key, value):
+        self.ops[0] += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.ops[0] += 1
+        super().__delitem__(key)
+
+
+class TestChainWalk:
+    # shapes whose chains close on themselves, end at a pendant tree or
+    # merge with another chain, each with shuffled labels
+
+    def test_whole_graph_cycles(self, rng):
+        for k in [*range(3, 41), 100000]:
+            g = cycle_graph(k)
+            assert tau_matrix(g) == k
+            assert tau_matrix(shuffled(g, rng)) == k
+
+    def test_cycles_hanging_at_one_vertex(self, rng, monkeypatch):
+        # cycles of random lengths and multiplicities at vertex 0, which
+        # hangs off a K_4 on 1..4 or ends a path: each cycle is a block of
+        # its own, and once they are gone vertex 0 is pendant
+        cores = spy_core(monkeypatch)
+        k4 = [(u + 1, v + 1) for u, v in K4]
+        for _ in range(40):
+            pairs, nxt = [], 5
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(3, 7)
+                pairs += chain(nxt, (0, 0), [rng.randint(1, 2) for _ in range(k)])
+                nxt += k - 1
+            for h in (k4 + [(0, 1)], [(0, 1), (1, 2), (2, 3), (3, 4)]):
+                g = Multigraph.from_edges(nxt, pairs + h)
+                assert tau_matrix(shuffled(g, rng)) == det_mod_p(g, P61)
+        assert len(cores) == 40 and all(len(core) == 4 for core in cores)
+
+    def test_dumbbell(self, rng, monkeypatch):
+        # an a-cycle at hub 0 and a b-cycle at hub 1, the hubs joined by a
+        # path: once a hub's cycle is gone, the hub is pendant and collapses
+        cores = spy_core(monkeypatch)
+        for a, b, k in ((3, 3, 1), (3, 4, 2), (5, 7, 6), (40, 30, 25)):
+            pairs, nxt = [], 2
+            for hub, length in ((0, a), (1, b)):
+                pairs += chain(nxt, (hub, hub), [1] * length)
+                nxt += length - 1
+            mults = [rng.randint(1, 3) for _ in range(k)]
+            pairs += chain(nxt, (0, 1), mults)
+            g = Multigraph.from_edges(nxt + k - 1, pairs)
+            product = a * b
+            for m in mults:
+                product *= m
+            assert tau_matrix(g) == product
+            assert tau_matrix(shuffled(g, rng)) == product
+        assert cores == []
+
+    def test_multiple_pairs_inside_chains(self, rng):
+        # a theta whose paths carry pairs of multiplicity 2 or 3 anywhere,
+        # the interior included
+        for _ in range(60):
+            pairs, nxt = [], 2
+            for _ in range(3):
+                k = rng.randint(1, 4)
+                pairs += chain(nxt, (0, 1), [rng.choice((1, 1, 2, 3)) for _ in range(k)])
+                nxt += k - 1
+            g = Multigraph.from_edges(nxt, pairs)
+            assert tau_matrix(shuffled(g, rng)) == brute_tau(g)
+
+    def test_two_chains_between_the_same_ends(self, rng, monkeypatch):
+        # vertices 0 and 1 hang off a K_4 on 2..5 by one pair each, and two
+        # chains join them: the second join merges with the first's pair,
+        # so 0 and 1 are left with two neighbours and reduce in turn
+        cores = spy_core(monkeypatch)
+        for _ in range(40):
+            pairs, nxt = [(u + 2, v + 2) for u, v in K4] + [(0, 2), (1, 3)], 6
+            for _ in range(2):
+                k = rng.randint(2, 6)
+                pairs += chain(nxt, (0, 1), [rng.randint(1, 2) for _ in range(k)])
+                nxt += k - 1
+            g = Multigraph.from_edges(nxt, pairs)
+            assert tau_matrix(shuffled(g, rng)) == det_mod_p(g, P61)
+        assert len(cores) == 40 and all(len(core) == 4 for core in cores)
+
+    def test_chain_ending_in_a_pendant_tree(self, rng, monkeypatch):
+        # a chain from a K_4 to the root of a tree: every pair outside the
+        # K_4 is a bridge, so the count is 16 times their multiplicities
+        cores = spy_core(monkeypatch)
+        for _ in range(40):
+            k = rng.randint(1, 8)
+            mults = [rng.randint(1, 3) for _ in range(k)]
+            pairs = [(u, v, 1) for u, v in K4] + chain(5, (0, 4), mults)
+            first = 5 + k - 1  # the tree is 4 and first, first + 1, ...
+            n = first + rng.randint(2, 6)
+            for v in range(first, n):
+                m = rng.randint(1, 3)
+                mults.append(m)
+                pairs.append((rng.choice([4, *range(first, v)]), v, m))
+            product = 16
+            for m in mults:
+                product *= m
+            g = Multigraph.from_edges(n, pairs)
+            assert tau_matrix(shuffled(g, rng)) == product
+        assert cores and all(len(core) == 4 for core in cores)
+
+    def test_cycle_next_to_a_second_component(self, rng):
+        for k in (3, 4, 50):
+            cycle = [(i, (i + 1) % k) for i in range(k)]
+            # an isolated vertex, an edge, a triangle or a K_4 beside it
+            for other in ([], [(0, 1)], [(0, 1), (1, 2), (2, 0)], K4):
+                n = k + 1 + max((v for _, v in other), default=0)
+                other = [(k + a, k + b) for a, b in other]
+                g = Multigraph.from_edges(n, cycle + other)
+                assert tau_matrix(g) == 0
+                assert tau_matrix(shuffled(g, rng)) == 0
+
+    def test_row_surgery_does_not_grow_with_chain_length(self, rng):
+        # a theta's three chains cost the same number of items set in and
+        # deleted from the rows whatever their length and labels, and each
+        # vertex but one is deleted from the adjacency once
+        counts = []
+        for length in (2, 10, 100, 1000, 2, 10, 100, 1000):
+            g = shuffled(subdivision(THETA, [length] * 3), rng)
+            row_ops, outer_ops = [0], [0]
+            adj = CountingRow({v: CountingRow({}, row_ops) for v in range(g.vertex_count)}, outer_ops)
+            for u, v, m in g.edges:
+                dict.__setitem__(adj[u], v, (m, 1))
+                dict.__setitem__(adj[v], u, (m, 1))
+            assert tree_count._kron_reduce(adj) == 3 * length**2
+            assert len(adj) == 1
+            assert outer_ops[0] == g.vertex_count - 1
+            counts.append(row_ops[0])
+        assert len(set(counts)) == 1
 
 
 class TestTauDC:
