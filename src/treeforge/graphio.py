@@ -3,6 +3,8 @@
 Edge-list format: '#' starts a comment, the first significant line is a
 header ``p <vertex_count>``, and every following line is ``u v`` or
 ``u v m`` with 0-based endpoints and an optional multiplicity column.
+Every number is written in ASCII digits with an optional sign: no '_'
+separators and no other digits.
 
 graph6: the standard printable encoding for simple graphs. Multigraphs
 have no graph6 form and are rejected on write; parallel input bits cannot
@@ -32,7 +34,7 @@ def parse_edge_list(text: str) -> Multigraph:
     first = _first_line(lines)
     if first is None:
         raise ParseError("empty input: missing 'p <vertex_count>' header")
-    return _edge_list(lines, *first)
+    return _edge_list(text, lines, *first)
 
 
 def _first_line(lines: list[str]) -> tuple[int, str] | None:
@@ -45,14 +47,25 @@ def _first_line(lines: list[str]) -> tuple[int, str] | None:
     return None
 
 
-def _edge_list(lines: list[str], first: int, header: str) -> Multigraph:
-    """The edge-list graph whose header line is lines[first]."""
+def _ascii_int(field: str) -> int:
+    """int(field), refusing the '_' separators and non-ASCII digits that
+    int() takes."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"not an ASCII integer: {field!r}")
+    return int(field)
+
+
+def _edge_list(text: str, lines: list[str], first: int, header: str) -> Multigraph:
+    """The edge-list graph of text, whose lines are lines and whose header
+    line is lines[first]."""
     lineno = first + 1
     fields = header.split()
     if fields[0] != "p" or len(fields) != 2:
         raise ParseError("expected header 'p <vertex_count>'", lineno)
+    # int() alone reads ASCII text without '_' exactly as the format says
+    to_int = int if text.isascii() and "_" not in text else _ascii_int
     try:
-        n = int(fields[1])
+        n = to_int(fields[1])
     except ValueError:
         raise ParseError(f"bad vertex count {fields[1]!r}", lineno) from None
     if n < 0:
@@ -73,9 +86,9 @@ def _edge_list(lines: list[str], first: int, header: str) -> Multigraph:
                 raise ParseError("expected 'u v' or 'u v m'", lineno)
             try:
                 if size == 2:
-                    entry = int(fields[0]), int(fields[1])
+                    entry = to_int(fields[0]), to_int(fields[1])
                 else:
-                    entry = int(fields[0]), int(fields[1]), int(fields[2])
+                    entry = to_int(fields[0]), to_int(fields[1]), to_int(fields[2])
             except ValueError:
                 raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
             yield entry
@@ -175,7 +188,6 @@ def load_graph(text: str, fmt: str | None = None) -> Multigraph:
     first = _first_line(lines)
     if first is None:
         raise ParseError("empty input")
-    line = first[1]
-    if line.startswith("p ") or line == "p":
-        return _edge_list(lines, *first)
+    if first[1].split()[0] == "p":
+        return _edge_list(text, lines, *first)
     return parse_graph6(text)

@@ -18,8 +18,9 @@ a < b < c (a <= sqrt(n/3) when b and c may equal a), and b < c is d^2 < N.
 
 - _divisor_pairs lists the triples for each a in turn, d rising from its
   least value while d^2 < N (d^2 <= N for thetas). strict_representations
-  and theta_representations take every triple; is_idoneal and the sieve's
-  survivor check stop at the first.
+  and theta_representations take every triple; is_idoneal stops at the
+  first. The sieve does not use it, so these stay a full-divisor scan that
+  the sieve can be checked against.
 - cheapest_theta scans d downward from isqrt(N). d + N/d falls strictly as
   d rises towards sqrt(N), so the first divisor found is the cheapest
   theta for that a. A scan stops once d + N/d - a exceeds the best sum so
@@ -27,17 +28,27 @@ a < b < c (a <= sqrt(n/3) when b and c may equal a), and b < c is d^2 < N.
   2*sqrt(N) - a, which does not fall as a falls while 3a^2 <= n; so once
   that bound exceeds the best sum, no smaller a can reach it and the scan
   over a ends. Equal sums go to the smaller a, the lex-least triple.
-- representable_sieve marks arithmetic progressions a pass of a at a time,
-  but after a few passes nearly every write lands on a marked cell. Once
-  at most isqrt(limit) cells are unmarked, each survivor n is decided
-  alone: it has a strict representation with a not yet passed iff some
-  such a with 3a^2 < n has a divisor d of N with 2a < d < sqrt(N), since
-  then b = d - a > a and c = N/d - a > b. A survivor with no such divisor
-  has no strict representation at all, so the sieve is exact.
+- representable_sieve needs only the least divisors of each a: the d > 2a
+  with no divisor in (2a, d), that is d // spf(d) <= 2a for the smallest
+  prime factor spf(d). They are the primes above 2a and the composites
+  p * m with 2 <= m <= 2a and p <= spf(m) prime, all at most (2a)^2. If
+  N = n + a^2 = d * e with 2a < d < e, the least divisor q of N above 2a
+  is one of them (a divisor of q in (2a, q) would divide N), and q <= d,
+  so q^2 < N. Hence a pass of a, which marks the arithmetic progression
+  N = d * e, e > d, for each least divisor d, marks exactly the n that a
+  pass through every d in (2a, sqrt(N)) marks, with about L ln ln sqrt(L)
+  writes for limit L instead of L ln sqrt(L). Once at most isqrt(limit)
+  cells are unmarked, each survivor n is decided by the same argument: it
+  has a strict representation with a not yet passed iff some such a with
+  3a^2 < n has a least divisor d dividing N with d^2 < N, since then
+  b = d - a > a and c = N/d - a > b. A survivor with no such divisor has
+  no strict representation at all, so the sieve is exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+from itertools import islice
 from math import isqrt
 from typing import NamedTuple
 
@@ -130,30 +141,109 @@ def cheapest_theta(n: int) -> Representation | None:
 def representable_sieve(limit: int) -> bytearray:
     """sieve[n] = 1 iff n <= limit has a strict representation.
 
-    Marks every n = ab + c(a+b) by walking c in arithmetic progressions of
-    step a+b, one pass per a, until at most isqrt(limit) cells are left
-    unmarked; each of those is then decided by trial division (see the
-    module docstring).
+    Marks every n = d * e - a^2 with 2a < d < e by walking e in arithmetic
+    progressions of step d, one pass per a and only through the least
+    divisors d of a, until at most isqrt(limit) cells are left unmarked;
+    each of those is then decided by trial division by least divisors (see
+    the module docstring).
     """
     sieve = bytearray(limit + 1)
     survivors_cap = isqrt(limit)
+    divisors = _least_divisors(_divisor_top(limit), 1)
     a = 1
     while 3 * a * a < limit:
-        b = a + 1
-        while 2 * a * b + b * b < limit:
-            step = a + b
-            start = a * b + step * (b + 1)  # c = b + 1
-            if start <= limit:
-                count = (limit - start) // step + 1
-                sieve[start : limit + 1 : step] = b"\x01" * count
-            b += 1
+        _mark_pass(sieve, a, *next(divisors))
         a += 1
         if sieve.count(0, 1) <= survivors_cap:
             break
-    for n in _unmarked(sieve):
-        if _has_strict_representation_from(n, a):
-            sieve[n] = 1
+    for n in _represented_from(list(_unmarked(sieve)), a):
+        sieve[n] = 1
     return sieve
+
+
+def _divisor_top(limit: int) -> int:
+    """A bound on every d the sieve tries up to limit: d^2 < n + a^2 with
+    3a^2 < n <= limit, so d^2 < 4 * limit / 3."""
+    return isqrt(4 * limit // 3) + 1
+
+
+def _least_divisors(top: int, a: int):
+    """For a, a + 1, ... in turn, the least divisors above 2a up to top, as
+    (primes, lo, composites): the primes among them are primes[lo:] and the
+    composites are the ascending list composites. Every a shares the one
+    primes list, and composites is updated in place, so a caller reads it
+    before asking for the next a."""
+    spf = list(range(top + 1))  # smallest prime factors
+    for p in range(2, isqrt(top) + 1):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    primes = [d for d in range(2, top + 1) if spf[d] == d]
+    low = 2 * a
+    composites = [d for d in range(low + 1, top + 1) if spf[d] != d and d // spf[d] <= low]
+    while True:
+        yield primes, bisect_right(primes, low), composites
+        # the next a drops the composites up to low + 2 and admits those
+        # whose largest proper divisor m is low + 1 or low + 2, the p * m
+        # with p <= spf(m) prime; each is at least 2m > low + 2
+        del composites[: bisect_right(composites, low + 2)]
+        for m in (low + 1, low + 2):
+            for p in primes:
+                if p * m > top or p > spf[m]:
+                    break
+                insort(composites, p * m)
+        low += 2
+
+
+def _mark_pass(sieve: bytearray, a: int, primes: list[int], lo: int, composites: list[int]) -> None:
+    """Mark every n = d * e - a^2 <= len(sieve) - 1 with e > d, for each
+    least divisor d above 2a (primes[lo:] and composites)."""
+    limit = len(sieve) - 1
+    aa = a * a
+    for ds in (islice(primes, lo, None), composites):
+        for d in ds:
+            start = d * (d + 1) - aa  # e = d + 1
+            if start > limit:
+                break
+            # a bytearray source: slice assignment copies a bytes one first
+            sieve[start::d] = bytearray(b"\x01") * ((limit - start) // d + 1)
+
+
+def _represented_from(ns: list[int], a: int) -> list[int]:
+    """The n in ns with n = a'b + a'c + bc for some a' >= a and a' < b < c:
+    those where some a' with 3a'^2 < n has a least divisor d above 2a'
+    dividing N = n + a'^2 with d^2 < N. Each a' is tried on every n still
+    undecided, so its least divisors are listed once."""
+    left = sorted(ns)
+    found: list[int] = []
+    divisors = _least_divisors(_divisor_top(max(ns, default=0)), a)
+    while True:
+        del left[: bisect_right(left, 3 * a * a)]  # no room for a' >= a
+        if not left:
+            return found
+        primes, lo, composites = next(divisors)
+        aa = a * a
+        kept = 0
+        for n in left:
+            if _has_divisor_below_root(n + aa, islice(primes, lo, None), composites):
+                found.append(n)
+            else:
+                left[kept] = n
+                kept += 1
+        del left[kept:]
+        a += 1
+
+
+def _has_divisor_below_root(big: int, *ascending) -> bool:
+    """Whether some d in the ascending iterables, with d^2 < big, divides big."""
+    for ds in ascending:
+        for d in ds:
+            if d * d >= big:
+                break
+            if big % d == 0:
+                return True
+    return False
 
 
 def _unmarked(sieve: bytearray):

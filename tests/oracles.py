@@ -176,6 +176,21 @@ def naive_theta_representations(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def strided_pass(sieve: bytearray, a: int) -> None:
+    """Mark, for one a, every n = ab + c(a+b) <= len(sieve) - 1 with
+    a < b < c: the arithmetic progression of step d = a+b for every b, that
+    is, through every divisor d of n + a^2 with 2a < d < (n + a^2)/d."""
+    limit = len(sieve) - 1
+    b = a + 1
+    while 2 * a * b + b * b < limit:
+        step = a + b
+        start = a * b + step * (b + 1)  # c = b + 1
+        if start <= limit:
+            count = (limit - start) // step + 1
+            sieve[start : limit + 1 : step] = b"\x01" * count
+        b += 1
+
+
 def strided_sieve(limit: int) -> bytearray:
     """sieve[n] = 1 iff n <= limit has a strict representation.
 
@@ -185,14 +200,7 @@ def strided_sieve(limit: int) -> bytearray:
     sieve = bytearray(limit + 1)
     a = 1
     while 3 * a * a < limit:
-        b = a + 1
-        while 2 * a * b + b * b < limit:
-            step = a + b
-            start = a * b + step * (b + 1)  # c = b + 1
-            if start <= limit:
-                count = (limit - start) // step + 1
-                sieve[start : limit + 1 : step] = b"\x01" * count
-            b += 1
+        strided_pass(sieve, a)
         a += 1
     return sieve
 

@@ -84,13 +84,23 @@ FIELDS = "expected 'u v' or 'u v m'"
         ("# head\n\np 3\n  \n# c\n0 1\n\n1 x\n", 8, "non-integer field in '1 x'"),
         ("p 3\r\n0\t1\r\n1 2 # c\r\n0 1 x\r\n", 4, "non-integer field in '0 1 x'"),
         ("p 3\n0 1\n1 2 3\n2 2\n0 x\n", 4, "loop at vertex 2 not allowed"),  # the first bad line
+        ("p\t3\n0 x\n", 2, "non-integer field in '0 x'"),  # a tab after the p
+        ("p 1_000\n0 1\n", 1, "bad vertex count '1_000'"),
+        ("p \u0663\n0 1\n", 1, "bad vertex count '\u0663'"),  # Arabic-Indic 3
+        ("p \uff13\n", 1, "bad vertex count '\uff13'"),  # fullwidth 3
+        ("p 30\n1_0 2\n", 2, "non-integer field in '1_0 2'"),
+        ("p 3\n0 \u0661\n", 2, "non-integer field in '0 \u0661'"),
+        ("p 3\n\u0660 1 2\n", 2, "non-integer field in '\u0660 1 2'"),
+        ("p 3\n0 1 1_0\n", 2, "non-integer field in '0 1 1_0'"),
+        ("p 3\n0 1 \u0662\n", 2, "non-integer field in '0 1 \u0662'"),
+        ("# caf\u00e9\np 3\n0 1\n1 2_\n", 4, "non-integer field in '1 2_'"),
     ],
 )
 def test_edge_list_error_contract(text, line, message):
     want = message if line is None else f"line {line}: {message}"
     readers = [parse_edge_list, lambda t: load_graph(t, "edgelist")]
     significant = [s for s in (raw.split("#")[0].strip() for raw in text.splitlines()) if s]
-    if significant and significant[0].startswith("p "):
+    if significant and significant[0].split()[0] == "p":
         readers.append(load_graph)  # detected as an edge list
     for read in readers:
         with pytest.raises(ParseError) as exc:
@@ -104,6 +114,11 @@ def test_edge_list_line_ends_tabs_and_comments():
     want = Multigraph(4, ((0, 1, 4), (1, 2, 2), (2, 3, 1)))
     assert parse_edge_list(text) == want
     assert load_graph(text) == want
+    # a tab may follow the p, and non-ASCII text in comments is only a comment
+    for text in ("p\t4\n0 1 4\n1 2 2\n2 3", "# gr\u00e4ph \u0663\r\np\t4\t# vier\r\n0\t1 4\n1 2 2\n3 2\n"):
+        assert parse_edge_list(text) == want
+        assert load_graph(text) == want
+        assert load_graph(text, "edgelist") == want
 
 
 def test_load_graph_matches_from_edges(rng):

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 from treeforge.idoneal import (
     EULER_IDONEAL_NUMBERS,
     Representation,
+    _divisor_top,
     _has_strict_representation_from,
+    _least_divisors,
+    _mark_pass,
+    _represented_from,
     cheapest_theta,
     idoneal_numbers_up_to,
     is_idoneal,
@@ -18,6 +22,7 @@ from treeforge.idoneal import (
 from oracles import (
     naive_strict_representations,
     naive_theta_representations,
+    strided_pass,
     strided_sieve,
 )
 
@@ -124,6 +129,51 @@ def test_survivor_check_matches_naive():
         reps = naive_strict_representations(n)
         for a in range(1, 17):
             assert _has_strict_representation_from(n, a) == any(r[0] >= a for r in reps), (n, a)
+
+
+def test_least_divisor_lists_match_their_definition():
+    # the d in (2a, top] with no divisor in (2a, d), stepped a at a time from
+    # several starting points, the composites kept ascending and prime-free
+    for top in list(range(0, 60)) + [200, 365, 1000]:
+        for start in (1, 2, 3, 7, 16):
+            divisors = _least_divisors(top, start)
+            for a in range(start, start + 12):
+                primes, lo, composites = next(divisors)
+                want = [d for d in range(2 * a + 1, top + 1) if all(d % k for k in range(2 * a + 1, d))]
+                assert primes[lo:] == [d for d in want if all(d % k for k in range(2, d))], (top, a)
+                assert composites == [d for d in want if d not in primes[lo:]], (top, a)
+
+
+def test_each_pass_matches_a_full_divisor_pass():
+    # each least-divisor pass, on an empty sieve, marks exactly what the
+    # pass through every d in (2a, sqrt(n + a^2)) marks
+    for limit in range(0, 3001):
+        divisors = _least_divisors(_divisor_top(limit), 1)
+        for a in range(1, 9):
+            fast, full = bytearray(limit + 1), bytearray(limit + 1)
+            _mark_pass(fast, a, *next(divisors))
+            strided_pass(full, a)
+            assert fast == full, (limit, a)
+
+
+def test_least_divisor_survivor_check_matches_naive():
+    reps = {n: naive_strict_representations(n) for n in range(1, 700)}
+    for a in range(1, 17):
+        want = [n for n in range(1, 700) if any(r[0] >= a for r in reps[n])]
+        assert sorted(_represented_from(list(range(699, 0, -1)), a)) == want, a
+        for n in range(1, 700):
+            assert _represented_from([n], a) == [n] * (n in want), (n, a)
+    assert _represented_from([], 1) == []
+
+
+def test_sieve_needs_no_full_divisor_scan(monkeypatch):
+    import treeforge.idoneal as idoneal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve called _divisor_pairs")
+
+    monkeypatch.setattr(idoneal, "_divisor_pairs", refuse)
+    assert representable_sieve(10**5) == strided_sieve(10**5)
 
 
 # Below 65**2 = 4225 the 65 idoneal numbers outnumber isqrt(limit), so the
