@@ -16,6 +16,7 @@ its canonical form and its automorphisms are computed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -199,13 +200,6 @@ def contract_edge(g: Multigraph, u: int, v: int) -> Multigraph:
     return Multigraph.from_edges(g.vertex_count - 1, pairs)
 
 
-def _chain(u: int, v: int, first: int, k: int) -> list[tuple[int, int]]:
-    """The k edges of a path from u to v through the fresh vertices first,
-    first + 1, ..., first + k - 2 in order."""
-    chain = [u, *range(first, first + k - 1), v]
-    return list(zip(chain, chain[1:]))
-
-
 def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
     """Join u and v by a new internally disjoint path of length k.
 
@@ -219,7 +213,8 @@ def add_path(g: Multigraph, u: int, v: int, k: int) -> Multigraph:
         raise GraphError("path length must be >= 1")
     if k == 1 and u == v:
         raise GraphError("loop forbidden: a length-1 path needs distinct endpoints")
-    return Multigraph.from_edges(n + k - 1, [*g.edges, *_chain(u, v, n, k)])
+    chain = [u, *range(n, n + k - 1), v]  # the fresh vertices in order
+    return Multigraph.from_edges(n + k - 1, [*g.edges, *zip(chain, chain[1:])])
 
 
 @dataclass(frozen=True)
@@ -233,6 +228,8 @@ class Skeleton:
     slots: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise GraphError("vertex_count must be nonnegative")
         for u, v in self.slots:
             if not 0 <= u <= v < self.vertex_count:
                 raise GraphError(
@@ -284,14 +281,45 @@ def subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> Multigraph:
     Interior path vertices are numbered from vertex_count on, slot by slot
     in order, so the labeling of every subdivision is reproducible. A loop
     of length 1 is rejected, since Multigraph stores no loops.
+
+    The sorted triples are written in one pass, without edge_triples. The
+    smaller end of every pair is a skeleton vertex s or an interior vertex
+    x, and every x is at least vertex_count. Under s lie the other skeleton
+    vertex of a slot of length 1 and the first or last interior vertex of a
+    longer slot: one small dict of partners per s, sorted by partner, where
+    parallel slots of length 1 and the two ends of a loop of length 2 add
+    up. Under x lies only (x, x + 1, 1) inside its own path, since a path's
+    last edge goes under its skeleton end; these follow in label order, so
+    they need no sort. No check of edge_triples is lost: the Skeleton keeps
+    every label in range and _check_lengths every length at 1 or more, so
+    only a loop of length 1 is left to reject. The triples share one int
+    object per label, as edge_triples' do.
     """
     _check_lengths(skeleton, lengths)
-    pairs: list[tuple[int, int]] = []
-    nxt = skeleton.vertex_count
+    n = skeleton.vertex_count
+    labels = list(range(n + sum(lengths) - len(lengths)))
+    partners: list[dict[int, int]] = [{} for _ in range(n)]
+    paths = []  # (first, last) interior vertex of each slot longer than 1
+    nxt = n
     for (u, v), k in zip(skeleton.slots, lengths):
-        pairs += _chain(u, v, nxt, k)
-        nxt += k - 1
-    return Multigraph.from_edges(nxt, pairs)
+        if k == 1:
+            if u == v:
+                raise GraphError(f"loop at vertex {u} not allowed")
+            first = v
+        else:
+            first, last = nxt, nxt + k - 2
+            paths.append((first, last))
+            nxt = last + 1
+            partners[v][last] = 1  # a fresh label; u adds to it if the slot is a loop of length 2
+        hub = partners[u]
+        hub[first] = hub.get(first, 0) + 1
+    triples = [
+        (labels[s], labels[x], hub[x]) for s, hub in enumerate(partners) for x in sorted(hub)
+    ]
+    ones = repeat(1)
+    for first, last in paths:
+        triples += zip(labels[first:last], labels[first + 1 : last + 1], ones)
+    return Multigraph(nxt, tuple(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 Edge-list format: '#' starts a comment, the first significant line is a
 header ``p <vertex_count>``, and every following line is ``u v`` or
 ``u v m`` with 0-based endpoints and an optional multiplicity column.
+Lines end at LF, CR LF or CR; other Unicode line breaks are blanks.
 Every number is written in ASCII digits with an optional sign: no '_'
 separators and no other digits.
 
@@ -30,11 +31,21 @@ def parse_edge_list(text: str) -> Multigraph:
     """Read the edge-list format in one pass: every line is checked with its
     line number, by the checks of graph_core.edge_triples for its pair, and
     repeated pairs add up their multiplicities."""
-    lines = text.splitlines()
+    lines = _lines(text)
     first = _first_line(lines)
     if first is None:
         raise ParseError("empty input: missing 'p <vertex_count>' header")
     return _edge_list(text, lines, *first)
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of text, each ended by LF, CR LF or CR only, so line
+    numbers are those that wc -l and editors show. str.splitlines would
+    also end a line at form feed, U+001C to U+001E, U+0085, U+2028 and
+    U+2029, which str.split() reads as blanks inside a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _first_line(lines: list[str]) -> tuple[int, str] | None:
@@ -184,7 +195,7 @@ def load_graph(text: str, fmt: str | None = None) -> Multigraph:
         return parse_graph6(text)
     if fmt is not None:
         raise ParseError(f"unknown format {fmt!r}")
-    lines = text.splitlines()
+    lines = _lines(text)
     first = _first_line(lines)
     if first is None:
         raise ParseError("empty input")

@@ -121,10 +121,11 @@ def tau_matrix(g: Multigraph) -> TreeCount:
         raise GraphError("graph must have at least one vertex")
     if len(g.edges) < n - 1:
         return 0  # fewer adjacent pairs than a spanning tree has edges
-    # conductance t/f on each adjacent pair; multiplicity m is m/1
+    # conductance t/f on each adjacent pair; multiplicity m is m/1, and
+    # every single pair shares one (1, 1)
     adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in range(n)}
     for u, v, m in g.edges:
-        adj[u][v] = adj[v][u] = (m, 1)
+        adj[u][v] = adj[v][u] = (1, 1) if m == 1 else (m, 1)
     factor = _kron_reduce(adj)
     if not factor or len(adj) == 1:
         return factor

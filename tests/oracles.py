@@ -108,6 +108,19 @@ def brute_isomorphic(
     return False
 
 
+def subdivision_via_edges(skeleton: Skeleton, lengths) -> Multigraph:
+    """graph_core.subdivision by the route it took before it wrote its
+    triples itself: every slot's path as (u, v) pairs, interior vertices
+    numbered from vertex_count on, slot by slot, all normalised by
+    Multigraph.from_edges (which rejects a loop of length 1)."""
+    pairs, nxt = [], skeleton.vertex_count
+    for (a, b), l in zip(skeleton.slots, lengths):
+        path = [a, *range(nxt, nxt + l - 1), b]
+        nxt += l - 1
+        pairs.extend(zip(path, path[1:]))
+    return Multigraph.from_edges(nxt, pairs)
+
+
 def brute_subdivision_sweep(
     vertex_count: int, slots, n: int, budget: int, count
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -131,12 +144,7 @@ def brute_subdivision_sweep(
                 ones[(a, b)] = ones.get((a, b), 0) + 1
         if any(c > 1 for c in ones.values()):
             continue
-        pairs, nxt = [], vertex_count
-        for (a, b), l in zip(slots, vec):
-            path = [a, *range(nxt, nxt + l - 1), b]
-            nxt += l - 1
-            pairs.extend(zip(path, path[1:]))
-        t = count(Multigraph.from_edges(nxt, pairs))
+        t = count(subdivision_via_edges(Skeleton(vertex_count, tuple(slots)), vec))
         if t <= n:
             tried += 1
             if t == n:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from treeforge.graph_core import (
     GraphError,
     Multigraph,
+    Skeleton,
     add_path,
     are_isomorphic,
     biconnected_components,
@@ -19,8 +20,17 @@ from treeforge.graph_core import (
     is_simple,
     is_two_edge_connected,
     path_graph,
+    subdivision,
 )
-
+from treeforge.constructions import (
+    BouquetSpec,
+    ThetaSpec,
+    build_bouquet,
+    build_cycle_glue,
+    build_generalized_theta,
+    build_theta,
+)
+from treeforge.search_oracle import enumerate_skeletons
 from treeforge.tree_count import tau_matrix
 
 from oracles import (
@@ -29,6 +39,7 @@ from oracles import (
     random_connected_multigraph,
     random_simple_connected,
     shuffled,
+    subdivision_via_edges,
 )
 
 
@@ -118,6 +129,102 @@ class TestAddPath:
         h = add_path(g, 0, 2, 4)
         assert h.vertex_count == g.vertex_count + 3
         assert h.edge_count == g.edge_count + 4
+
+
+class TestSubdivision:
+    def _check(self, skeleton, lengths):
+        """subdivision equals the route through from_edges, repr included,
+        and its triples are already what from_edges makes of them."""
+        try:
+            want = subdivision_via_edges(skeleton, lengths)
+        except GraphError as exc:  # a loop of length 1, with the same text
+            with pytest.raises(GraphError) as got:
+                subdivision(skeleton, lengths)
+            assert str(got.value) == str(exc)
+            return None
+        g = subdivision(skeleton, lengths)
+        assert g == want and repr(g) == repr(want)
+        assert Multigraph.from_edges(g.vertex_count, g.edges) == g
+        return g
+
+    def test_matches_edge_route_on_every_small_skeleton(self):
+        rng = random.Random(2801)
+        seen = set()
+        for c in (2, 3, 4):
+            for skeleton in enumerate_skeletons(c):
+                for _ in range(30):
+                    lengths = [rng.randint(1, 6) for _ in skeleton.slots]
+                    g = self._check(skeleton, lengths)
+                    if g is None:
+                        seen.add("loop of length 1")
+                        continue
+                    for (u, v), k in zip(skeleton.slots, lengths):
+                        if k == 1 and skeleton.slots.count((u, v)) > 1:
+                            if g.multiplicity(u, v) > 1:
+                                seen.add("parallel slots of length 1")
+                        elif k == 2 and u == v:
+                            seen.add("loop of length 2")
+        assert seen == {"loop of length 1", "parallel slots of length 1", "loop of length 2"}
+
+    def test_parallel_slots_and_short_loops_add_up(self):
+        theta = Skeleton(2, ((0, 1),) * 3)
+        assert self._check(theta, [1, 1, 1]) == Multigraph(2, ((0, 1, 3),))
+        assert self._check(theta, [1, 3, 1]).edges == ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 1))
+        bouquet = Skeleton(1, ((0, 0),) * 3)
+        assert self._check(bouquet, [2, 4, 2]).edges == (
+            (0, 1, 2), (0, 2, 1), (0, 4, 1), (0, 5, 2), (2, 3, 1), (3, 4, 1)
+        )
+        # partners of a hub are sorted: a length-1 slot after a long one
+        mixed = Skeleton(3, ((0, 2), (0, 1), (1, 2), (0, 0)))
+        assert self._check(mixed, [3, 1, 2, 3]).edges == (
+            (0, 1, 1), (0, 3, 1), (0, 6, 1), (0, 7, 1),
+            (1, 5, 1), (2, 4, 1), (2, 5, 1), (3, 4, 1), (6, 7, 1),
+        )
+
+    def test_witness_families_match_edge_route(self):
+        rng = random.Random(2802)
+        for _ in range(200):
+            a, b, c = (rng.randint(1, 40) for _ in range(3))
+            if [a, b, c].count(1) <= 1:
+                assert build_theta(ThetaSpec(a, b, c)) == subdivision_via_edges(
+                    Skeleton(2, ((0, 1),) * 3), [a, b, c]
+                )
+            cycles = [rng.randint(3, 40) for _ in range(rng.randint(1, 5))]
+            assert build_bouquet(BouquetSpec(tuple(cycles))) == subdivision_via_edges(
+                Skeleton(1, ((0, 0),) * len(cycles)), cycles
+            )
+            glue = [rng.randint(3, 40), rng.randint(3, 40)]
+            bouquet = Skeleton(1, ((0, 0),) * 2)
+            assert build_cycle_glue(*glue) == subdivision_via_edges(bouquet, glue)
+            paths = [rng.randint(2, 30) for _ in range(rng.randint(3, 7))]
+            paths[0] = rng.choice((1, paths[0]))
+            assert build_generalized_theta(paths) == subdivision_via_edges(
+                Skeleton(2, ((0, 1),) * len(paths)), paths
+            )
+        theta = subdivision(Skeleton(2, ((0, 1),) * 3), [150, 150, 150])
+        assert theta == subdivision_via_edges(Skeleton(2, ((0, 1),) * 3), [150, 150, 150])
+
+    def test_loop_of_length_one_rejected(self):
+        for skeleton, lengths in (
+            (Skeleton(1, ((0, 0),)), [1]),
+            (Skeleton(3, ((0, 1), (1, 2), (2, 2), (0, 2))), [2, 1, 1, 4]),
+        ):
+            u = next(a for (a, b), k in zip(skeleton.slots, lengths) if a == b and k == 1)
+            with pytest.raises(GraphError, match=f"^loop at vertex {u} not allowed$"):
+                subdivision(skeleton, lengths)
+            self._check(skeleton, lengths)
+
+    def test_bad_skeletons_and_lengths_rejected(self):
+        with pytest.raises(GraphError, match="nonnegative"):
+            Skeleton(-1, ())
+        with pytest.raises(GraphError, match="slot"):
+            Skeleton(2, ((0, 2),))
+        with pytest.raises(GraphError, match="lengths"):
+            subdivision(Skeleton(2, ((0, 1),) * 3), [1, 2])
+        with pytest.raises(GraphError, match=">= 1"):
+            subdivision(Skeleton(2, ((0, 1),) * 3), [1, 2, 0])
+        assert subdivision(Skeleton(0, ()), []) == Multigraph(0, ())
+        assert subdivision(Skeleton(3, ()), []) == Multigraph(3, ())
 
 
 class TestCanonicalForm:

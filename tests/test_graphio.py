@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import pytest
 
@@ -94,12 +96,23 @@ FIELDS = "expected 'u v' or 'u v m'"
         ("p 3\n0 1 1_0\n", 2, "non-integer field in '0 1 1_0'"),
         ("p 3\n0 1 \u0662\n", 2, "non-integer field in '0 1 \u0662'"),
         ("# caf\u00e9\np 3\n0 1\n1 2_\n", 4, "non-integer field in '1 2_'"),
+        # lines end at LF, CR LF and CR only; other line breaks are blanks
+        ("p 3\u20280 1\n1 x", 1, HEADER),
+        ("p 3\x0c0 1\n", 1, HEADER),
+        ("p 3\n0 1\x0c1 2\n", 2, FIELDS),
+        ("p 3\n0 1\u20291 2\n", 2, FIELDS),
+        ("p 3\x1c\x1d\x1e\n0 1\n1 x\n", 3, "non-integer field in '1 x'"),
+        ("p 3\u2029\n0 x\n", 2, "non-integer field in '0 x'"),
+        ("p 3\n0 1\x85x\n", 2, "non-integer field in '0 1\\x85x'"),
+        ("p 3\r0 1\r1 x\r", 3, "non-integer field in '1 x'"),
+        ("p 3\n\r0 1\r\n\n1 x\n", 5, "non-integer field in '1 x'"),
     ],
 )
 def test_edge_list_error_contract(text, line, message):
     want = message if line is None else f"line {line}: {message}"
     readers = [parse_edge_list, lambda t: load_graph(t, "edgelist")]
-    significant = [s for s in (raw.split("#")[0].strip() for raw in text.splitlines()) if s]
+    lines = re.split("\r\n|\r|\n", text)
+    significant = [s for s in (raw.split("#")[0].strip() for raw in lines) if s]
     if significant and significant[0].split()[0] == "p":
         readers.append(load_graph)  # detected as an edge list
     for read in readers:
@@ -115,7 +128,11 @@ def test_edge_list_line_ends_tabs_and_comments():
     assert parse_edge_list(text) == want
     assert load_graph(text) == want
     # a tab may follow the p, and non-ASCII text in comments is only a comment
-    for text in ("p\t4\n0 1 4\n1 2 2\n2 3", "# gr\u00e4ph \u0663\r\np\t4\t# vier\r\n0\t1 4\n1 2 2\n3 2\n"):
+    for text in (
+        "p\t4\n0 1 4\n1 2 2\n2 3",
+        "# gr\u00e4ph \u0663\r\np\t4\t# vier\r\n0\t1 4\n1 2 2\n3 2\n",
+        "p 4\x0c\n0 1\u20284\n1\x852 2\x1c\r2\u20293",  # blanks, not line ends
+    ):
         assert parse_edge_list(text) == want
         assert load_graph(text) == want
         assert load_graph(text, "edgelist") == want
