@@ -35,7 +35,6 @@ from .minimal_builder import (
     check_bounds,
 )
 from .search_oracle import (
-    WITNESS_CEILING,
     alpha_exact,
     beta_exact,
     verify_no_smaller_graph,
@@ -238,7 +237,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_fixedpoint(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     budget = args.budget if args.budget is not None else args.n
-    report = verify_no_smaller_graph(args.n, budget, args.max_witnesses)
+    report = verify_no_smaller_graph(args.n, budget)
     outputs = report.to_dict()
     verdict = "proved" if report.proved else "refuted"
     human = (
@@ -415,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("fixedpoint", help="prove no smaller graph reaches n", parents=[common])
     c.add_argument("n", type=int)
     c.add_argument("--budget", type=int, default=None, help="vertex budget (default n)")
-    c.add_argument(
-        "--max-witnesses",
-        type=int,
-        default=WITNESS_CEILING,
-        help=f"stop with exit 2 past this many witness classes (default {WITNESS_CEILING})",
-    )
     c.set_defaults(func=cmd_fixedpoint)
 
     c = sub.add_parser("idoneal", help="representability as ab+ac+bc", parents=[common])

@@ -650,6 +650,8 @@ def _canonical_search(g: Multigraph, colors: Sequence[int] | None) -> tuple[byte
         search(root, ())
     except RecursionError:
         raise GraphError(f"canonical-form recursion too deep on {n} vertices") from None
+    finally:
+        del search  # it refers to itself: unbound, the search is freed on return
     return repr((n, tuple(sorted(init)), best[0])).encode(), gens
 
 

@@ -24,9 +24,9 @@ the minimum count at cyclomatic number c exceeds n: adding an ear raises
 the count by at least 2 (and a new cycle block multiplies it by >= 3), so
 deeper levels only grow. Each level is one cached table (_sweeps): the
 sweep of every skeleton, with its least count and vertex total, and the
-level's least count, so a query only reads them. A sweep counts its hits
-before listing them, and the witness graphs are built once the whole list
-is known to fit under the witness ceiling.
+level's least count, so a query only reads them. A sweep sums its hits'
+vertex counts before listing them, so a skeleton whose witnesses cannot
+fit under the witness vertex ceiling is never listed.
 
 Both steps of the proof keep one labelled object per isomorphism class
 without canonicalising every candidate, in the manner of orderly generation
@@ -81,24 +81,16 @@ DEFAULT_VERTEX_CEILING = 9
 #: Largest max_edges that beta_exact accepts (see its docstring).
 BETA_EDGE_CEILING = 12
 #: Largest cyclomatic number whose skeletons verify_no_smaller_graph
-#: enumerates. Level 5, first needed at n = 40, enumerates its 1,076
-#: skeletons in about 0.2 s; what stays unbounded is the witness list: at
-#: level 5, verify_no_smaller_graph(72, 72) lists 132,244 witness classes
-#: in 21 s and 656 MB (CPython 3.11, 2-vCPU VM). The ceiling stays at 4
-#: until the effect of WITNESS_CEILING on such runs is measured.
-SKELETON_CEILING = 4
-#: Default for the most witness classes verify_no_smaller_graph lists. The
-#: list grows with the budget: at n = 27, budgets 27, 40, 60 and 80 give
-#: 442, 1,560, 5,524 and 13,388 classes (the last in 2.1 s and 107 MB,
-#: CPython 3.11, 2-vCPU VM); (36, 36) gives 3,094 and (36, 42) 5,094.
-WITNESS_CEILING = 10_000
+#: enumerates. Level 5 is first needed at n = 40 and its least count is 75,
+#: so it is read only for that count up to n = 74: every witness there
+#: comes from levels 2-4. Its table (_sweeps(5), 1,076 skeletons) is built
+#: once per process, in under 1 s (CPython 3.11, 2-vCPU VM).
+SKELETON_CEILING = 5
 #: The most vertices, summed over the witnesses, that verify_no_smaller_graph
-#: lists. WITNESS_CEILING alone lets a budget with few classes per bridge
-#: length hold about budget**2 / 2 vertices: verify_no_smaller_graph(12, B)
-#: lists B - 4 classes, 499,502 vertices in 64 MB at B = 1000, so B = 10,000
-#: would need several GB. The largest tested list, (36, 42), holds 161,711
-#: vertices in 5,094 classes, and (27, 80) with max_witnesses 20,000 holds
-#: 802,621 in 13,388.
+#: lists, the n-cycle included. The list grows with the budget: at n = 27,
+#: budgets 27, 40, 60 and 80 give 442, 1,560, 5,524 and 13,388 classes, the
+#: last with 802,621 vertices; verify_no_smaller_graph(12, B) lists B - 4
+#: classes with about B**2 / 2 vertices, 499,502 at B = 1000.
 WITNESS_VERTEX_CEILING = 1_000_000
 
 
@@ -816,13 +808,14 @@ class _Sweep:
         """The most hits one orbit can hold: its members are the images of
         one hit under an automorphism followed by a bijection inside each
         cell. orbit_least keeps one hit per orbit of the automorphisms it
-        is given, so more than k * orbit_bound() hits leave it more than k
-        to keep."""
+        is given, and an orbit's members have equal vertex counts, so hits
+        with more than k * orbit_bound() vertices in all leave it more than
+        k vertices to keep."""
         cell_bijections = prod(factorial(len(idxs)) for idxs in self.cells.values())
         return len(self.automorphisms()) * cell_bijections
 
     def find_assignments(
-        self, n: int, vertex_budget: int, max_classes: float = inf
+        self, n: int, vertex_budget: int, max_vertices: float = inf
     ) -> tuple[int, list[tuple[int, ...]] | None]:
         """All admissible length vectors with count exactly n and strictly
         fewer than vertex_budget vertices, in lexicographic order. Returns
@@ -847,10 +840,17 @@ class _Sweep:
         them is a hit. Bridge slots sit between cycle slots, so the hits
         are sorted at the end.
 
-        The hits are counted before they are listed. When there are more
-        than max_classes * orbit_bound() of them, they hold more than
-        max_classes classes, and hits is None: nothing is listed, since
-        the bridge vectors grow with a power of the budget.
+        The hits' vertex counts are summed before they are listed. The
+        subdivision with spare R and bridge lengths 1 + r_k has
+        vertex_budget - 1 - R + sum r_k vertices, and sum r_k summed over
+        the C(R + b, b) bridge vectors is b * C(R + b, b + 1): over those
+        vectors each of the b + 1 parts of R (the r_k and the unspent
+        slack) has the same total, R * C(R + b, b) / (b + 1), which is
+        C(R + b, b + 1). Isomorphic hits have equal vertex counts, and one
+        class holds at most orbit_bound() hits, so when the sum exceeds
+        max_vertices * orbit_bound() the classes' vertices exceed
+        max_vertices, and hits is None: nothing is listed, since the bridge
+        vectors grow with a power of the budget.
         """
         floors = self.floors
         cyc = self.cycle_idx
@@ -862,12 +862,12 @@ class _Sweep:
         bridges = self.bridge_idx
         nb = len(bridges)
         lengths = floors[:]
-        tried = found = 0
+        tried = hit_vertices = 0
         # cycle vectors with count n, each with its spare vertices
         leaves: list[tuple[list[int], int]] = []
 
         def assign(j: int, extra: int, ones_used: set[tuple[int, int]]) -> None:
-            nonlocal tried, found
+            nonlocal tried, hit_vertices
             i = cyc[j]
             # the terms holding i give the slope of the count in l_i, the
             # others its intercept
@@ -894,7 +894,8 @@ class _Sweep:
                     ways = comb(spare + nb, nb)
                     tried += ways
                     if slope * l + base == n:
-                        found += ways
+                        bridge_extra = nb * comb(spare + nb, nb + 1)
+                        hit_vertices += ways * (vertex_budget - 1 - spare) + bridge_extra
                         lengths[i] = l
                         leaves.append((lengths[:], spare))
                 lengths[i] = floors[i]
@@ -910,7 +911,7 @@ class _Sweep:
             lengths[i] = floors[i]
 
         assign(0, 0, set())
-        if found > max_classes and found > max_classes * self.orbit_bound():
+        if hit_vertices > max_vertices and hit_vertices > max_vertices * self.orbit_bound():
             return tried, None
         hits: list[tuple[int, ...]] = []
 
@@ -970,9 +971,7 @@ class FixedPointReport:
         }
 
 
-def verify_no_smaller_graph(
-    n: int, vertex_budget: int, max_witnesses: int = WITNESS_CEILING
-) -> FixedPointReport:
+def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
     """Decide whether some simple graph on fewer than vertex_budget vertices
     has exactly n spanning trees, by exhausting skeleton subdivisions.
 
@@ -980,20 +979,21 @@ def verify_no_smaller_graph(
     is listed. The transcript records each skeleton with its minimal count
     and sweep statistics. Raises GraphError, before enumerating anything
     above it, when the proof needs a level above SKELETON_CEILING; the
-    minimum count at level 4 is 40, so every n <= 39 stops in time. Raises
-    GraphError as soon as the list would hold more than max_witnesses
-    classes: at the first skeleton whose hits hold more classes than there
-    is room for, and before any witness graph is built. Raises GraphError
-    too, once every level is swept and before any witness graph is built,
-    when the listed witnesses hold more than WITNESS_VERTEX_CEILING
-    vertices in all.
+    minimum count at level 5 is 75, so every n <= 74 stops in time.
+
+    The witnesses may hold at most WITNESS_VERTEX_CEILING vertices in all.
+    The room left starts at the ceiling, less the n-cycle when it is a
+    witness, and each swept skeleton spends the exact vertex total of the
+    vectors it keeps. A sweep gets the room as its max_vertices, so it
+    returns no list, before listing anything, when its hits' vertex sum
+    shows that its classes cannot fit (see _Sweep.find_assignments). When
+    the room runs out, GraphError is raised at that skeleton; otherwise its
+    witness graphs are built at once.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
     if vertex_budget < 1:
         raise GraphError("vertex_budget must be >= 1")
-    if max_witnesses < 1:
-        raise GraphError("max_witnesses must be >= 1")
     witnesses: list[Multigraph] = []
 
     if 3 <= n < vertex_budget:
@@ -1005,10 +1005,7 @@ def verify_no_smaller_graph(
             "trees have exactly 1"
         )
 
-    room = max_witnesses - len(witnesses)
-    # per swept skeleton, its witness vectors and its transcript list; the
-    # graphs are built once the whole list is known to fit
-    swept: list[tuple[_Sweep, list[tuple[int, ...]], list[dict]]] = []
+    room = WITNESS_VERTEX_CEILING - sum(g.vertex_count for g in witnesses)
     levels: list[dict] = []
     c = 2
     while True:
@@ -1036,15 +1033,19 @@ def verify_no_smaller_graph(
             else:
                 tried, hits = sweep.find_assignments(n, vertex_budget, room)
                 kept = [] if hits is None else sweep.orbit_least(hits)
-                if hits is None or len(kept) > room:
+                # a subdivision adds l - 1 vertices on a slot of length l
+                base = sweep.skeleton.vertex_count - len(sweep.slots)
+                room -= sum(base + sum(vec) for vec in kept)
+                if hits is None or room < 0:
                     raise GraphError(
-                        f"witness ceiling exceeded: {max_witnesses + 1} witness "
-                        f"classes so far for n = {n} below budget {vertex_budget}, "
-                        f"above max_witnesses {max_witnesses}"
+                        f"witness ceiling exceeded: the witnesses for n = {n} below budget "
+                        f"{vertex_budget} hold more than {WITNESS_VERTEX_CEILING} vertices"
                     )
-                room -= len(kept)
                 entry["assignments_tried"] = tried
-                swept.append((sweep, kept, entry["witnesses"]))
+                for vec in kept:
+                    g = subdivision(sweep.skeleton, vec)
+                    entry["witnesses"].append(_graph_dict(g))
+                    witnesses.append(g)
             entries.append(entry)
         levels.append({"cyclomatic": c, "min_tau": str(level_min), "skeletons": entries})
         if level_min > n:
@@ -1055,26 +1056,6 @@ def verify_no_smaller_graph(
             )
             break
         c += 1
-
-    # every witness has fewer than vertex_budget vertices, so only a long
-    # list needs its total; a subdivision adds l - 1 vertices on a slot of
-    # length l
-    if (max_witnesses - room) * vertex_budget > WITNESS_VERTEX_CEILING:
-        vertices = sum(g.vertex_count for g in witnesses) + sum(
-            len(kept) * (sweep.skeleton.vertex_count - len(sweep.slots)) + sum(map(sum, kept))
-            for sweep, kept, _ in swept
-        )
-        if vertices > WITNESS_VERTEX_CEILING:
-            raise GraphError(
-                f"witness ceiling exceeded: the {max_witnesses - room} witness classes for "
-                f"n = {n} below budget {vertex_budget} hold {vertices} vertices, above "
-                f"{WITNESS_VERTEX_CEILING}"
-            )
-    for sweep, kept, listed in swept:
-        for vec in kept:
-            g = subdivision(sweep.skeleton, vec)
-            listed.append(_graph_dict(g))
-            witnesses.append(g)
     return FixedPointReport(
         n, vertex_budget, not witnesses, witnesses, cycle_case, levels, stop_reason
     )

@@ -265,15 +265,9 @@ def test_fixedpoint_proved_and_refuted(capsys):
     assert code == 0 and json.loads(out)["outputs"]["proved"] is True
     code, out, _ = run(capsys, "fixedpoint", "12", "--json")
     assert code == 1 and json.loads(out)["outputs"]["proved"] is False
-
-
-def test_fixedpoint_max_witnesses(capsys):
-    # at the ceiling the transcript is the default one
-    code, out, _ = run(capsys, "fixedpoint", "27", "--json")
-    code_at, out_at, _ = run(capsys, "fixedpoint", "27", "--max-witnesses", "442", "--json")
-    doc, doc_at = json.loads(out), json.loads(out_at)
-    assert code == code_at == 1 and len(doc["outputs"]["witnesses"]) == 442
-    assert doc["outputs"] == doc_at["outputs"]
+    # from n = 40 on the proof reads level 5
+    code, out, _ = run(capsys, "fixedpoint", "41", "--json")
+    assert code == 1 and len(json.loads(out)["outputs"]["witnesses"]) == 5
 
 
 def test_idoneal_commands(capsys):
@@ -298,8 +292,7 @@ def test_idoneal_commands(capsys):
         ("count", "--spec", "theta:1,1"),
         ("alpha", "25", "--max-vertices", "12"),
         ("beta", "25", "--max-edges", "13"),
-        ("fixedpoint", "40"),
-        ("fixedpoint", "27", "--max-witnesses", "441"),
+        ("fixedpoint", "75", "--budget", "10"),
         ("fixedpoint", "12", "--budget", "10000"),
         ("verify", "bounds", "--limit", "0"),
         ("verify", "bounds", "--limit", "2"),

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from treeforge.graph_core import (
     Skeleton,
     add_path,
     are_isomorphic,
+    automorphisms,
     biconnected_components,
     bridges,
     canonical_form,
@@ -254,6 +256,20 @@ class TestCanonicalForm:
         for i in range(0, len(pool) - 1, 2):
             g, h = pool[i], pool[i + 1]
             assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the search's closure is unbound on return, so reference counting
+        # frees it; on this theta it held 1,825 objects per call
+        theta = build_generalized_theta([150, 150, 151])
+        gc.collect()
+        gc.disable()
+        try:
+            canonical_form(theta)
+            assert gc.collect() == 0
+            automorphisms(theta)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_complete_graph_symmetry(self):
         # worst case for the individualization search

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from fractions import Fraction
 from math import comb, factorial
 
 import networkx as nx
@@ -24,7 +25,6 @@ from treeforge.graph_core import (
 )
 from treeforge.search_oracle import (
     SKELETON_CEILING,
-    WITNESS_CEILING,
     WITNESS_VERTEX_CEILING,
     SearchKind,
     Skeleton,
@@ -768,80 +768,115 @@ class TestOrbits:
         assert len(verify_no_smaller_graph(36, 36).witnesses) == 3094
 
 
+def vertex_total(sweep, vectors):
+    """Vertices summed over the subdivisions of sweep's skeleton with the
+    given length vectors."""
+    return sum(sweep.skeleton.vertex_count + sum(l - 1 for l in vec) for vec in vectors)
+
+
 class TestWitnessCeiling:
+    CASES = ((12, 20), (16, 24), (24, 30), (27, 40))
+
     def test_default_lists_every_tested_list(self):
-        # (36, 42) lists 5,094 classes, the most of any test
-        assert WITNESS_CEILING > 5094
-        assert SKELETON_CEILING == 4
-
-    def test_at_the_ceiling_the_transcript_is_unchanged(self):
-        # (27, 27) lists 442 classes
-        full = verify_no_smaller_graph(27, 27).to_dict()
-        assert verify_no_smaller_graph(27, 27, max_witnesses=442).to_dict() == full
-
-    def test_past_the_ceiling_raises_with_the_count(self):
-        with pytest.raises(GraphError, match="442 witness classes so far"):
-            verify_no_smaller_graph(27, 27, max_witnesses=441)
+        # (27, 80) holds the most vertices of any tested list
+        assert WITNESS_VERTEX_CEILING >= 802_621
+        assert SKELETON_CEILING == 5
 
     def test_default_ceiling_stops_a_growing_list(self):
-        # (27, 80) has 13,388 classes
-        with pytest.raises(GraphError, match=f"{WITNESS_CEILING + 1} witness classes"):
-            verify_no_smaller_graph(27, 80)
+        report = verify_no_smaller_graph(27, 80)
+        assert len(report.witnesses) == 13_388
+        assert sum(g.vertex_count for g in report.witnesses) == 802_621
+        with pytest.raises(
+            GraphError,
+            match="^witness ceiling exceeded: the witnesses for n = 27 below budget 100 hold "
+            f"more than {WITNESS_VERTEX_CEILING} vertices$",
+        ):
+            verify_no_smaller_graph(27, 100)
+
+    def test_hit_vertex_sum_is_exact(self):
+        # the closed form summed in the count pass equals the vertices of
+        # the listed hits: the sweep lists them at max_vertices = S / bound
+        # and not at (S - 1) / bound
+        swept = bridged = 0
+        for c in (2, 3, 4):
+            for sweep in _sweeps(c)[0]:
+                for n, budget in self.CASES:
+                    if sweep.min_tau > n or sweep.min_vertices >= budget:
+                        continue
+                    hits = sweep.find_assignments(n, budget)[1]
+                    if not hits:
+                        continue
+                    total, bound = vertex_total(sweep, hits), sweep.orbit_bound()
+                    assert sweep.find_assignments(n, budget, Fraction(total, bound))[1] == hits
+                    assert sweep.find_assignments(n, budget, Fraction(total - 1, bound))[1] is None
+                    swept += 1
+                    bridged += len(sweep.bridge_idx) > 1
+        assert swept == 25 and bridged > 0
 
     def test_hits_beyond_the_orbit_bound_are_not_listed(self):
-        # more than k * orbit_bound() hits hold more than k classes, so the
-        # sweep returns no list; below that it lists every hit as before
+        # the sweep lists nothing only when the classes it would keep hold
+        # more than max_vertices vertices; otherwise it lists every hit
         returned_none = 0
         for c in (2, 3, 4):
             for sweep in _sweeps(c)[0]:
-                for n, budget in ((12, 20), (16, 24), (24, 30), (27, 40)):
+                for n, budget in self.CASES:
                     tried, hits = sweep.find_assignments(n, budget)
                     if not hits:
                         continue
-                    classes = len(sweep.orbit_least(hits))
-                    for k in (0, 1, 2, 5, 20):
-                        got_tried, got = sweep.find_assignments(n, budget, k)
+                    kept = vertex_total(sweep, sweep.orbit_least(hits))
+                    for r in (0, 1, 20, 100, 1000, kept - 1, kept):
+                        got_tried, got = sweep.find_assignments(n, budget, r)
                         assert got_tried == tried
                         if got is None:
                             returned_none += 1
-                            assert len(hits) > k * sweep.orbit_bound() and classes > k
+                            assert kept > r
                         else:
                             assert got == hits
         assert returned_none > 50
 
     def test_raises_before_listing_or_building(self, monkeypatch):
-        # at budget 300 one two-bridge skeleton has 42,486 hits: they are
-        # counted, not listed, and no witness graph is built before the
-        # whole list is known to fit
-        two_bridges = Skeleton(3, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)))
-        assert _Sweep(two_bridges).find_assignments(27, 300, WITNESS_CEILING)[1] is None
-        listed = []
-        orbit_least = _Sweep.orbit_least
+        # at budget 300 one two-bridge skeleton has 42,486 hits with
+        # 8,596,334 vertices, and its automorphism group has order 2: they
+        # are summed, not listed. The skeleton that runs the room out is
+        # neither listed nor built; earlier ones are, fewer than 1,000 hits
+        two_bridges = _Sweep(Skeleton(3, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2))))
+        assert two_bridges.orbit_bound() == 2
+        assert two_bridges.find_assignments(27, 300, WITNESS_VERTEX_CEILING)[1] is None
+        swept, listed, built = [], [], []
+        find_assignments, orbit_least = _Sweep.find_assignments, _Sweep.orbit_least
 
-        def counting(sweep, hits):
-            listed.append(len(hits))
+        def sweeping(sweep, *args):
+            swept.append(sweep.skeleton)
+            return find_assignments(sweep, *args)
+
+        def listing(sweep, hits):
+            listed.append((sweep.skeleton, len(hits)))
             return orbit_least(sweep, hits)
 
-        def no_build(*args):
-            raise AssertionError("a witness graph was built")
+        def building(skeleton, vec):
+            built.append(skeleton)
+            return subdivision(skeleton, vec)
 
-        monkeypatch.setattr(_Sweep, "orbit_least", counting)
-        monkeypatch.setattr(search_oracle, "subdivision", no_build)
-        for budget in (300, 3000):
+        monkeypatch.setattr(_Sweep, "find_assignments", sweeping)
+        monkeypatch.setattr(_Sweep, "orbit_least", listing)
+        monkeypatch.setattr(search_oracle, "subdivision", building)
+        for n, budget in ((27, 300), (27, 3000), (12, 10_000)):
+            for calls in (swept, listed, built):
+                calls.clear()
             with pytest.raises(
                 GraphError,
-                match=f"^witness ceiling exceeded: {WITNESS_CEILING + 1} witness classes so "
-                f"far for n = 27 below budget {budget}, above max_witnesses {WITNESS_CEILING}$",
+                match=f"^witness ceiling exceeded: the witnesses for n = {n} below budget "
+                f"{budget} hold more than {WITNESS_VERTEX_CEILING} vertices$",
             ):
-                verify_no_smaller_graph(27, budget)
-        assert max(listed) < 10_000
+                verify_no_smaller_graph(n, budget)
+            assert sum(k for _, k in listed) < 1000, (n, budget)
+            assert swept[-1] not in [skel for skel, _ in listed] + built, (n, budget)
 
     def test_vertex_ceiling_above_every_tested_list(self):
-        # (36, 42) holds the most vertices of any tested list; 10,000
-        # classes below 80 vertices hold fewer than the ceiling
+        # (36, 42) holds the most vertices of the lists below budget n + 6
         report = verify_no_smaller_graph(36, 42)
         assert sum(g.vertex_count for g in report.witnesses) == 161_711
-        assert WITNESS_VERTEX_CEILING >= WITNESS_CEILING * 80
+        assert WITNESS_VERTEX_CEILING > 161_711
 
     def test_at_the_vertex_ceiling_the_transcript_is_unchanged(self, monkeypatch):
         # (27, 27) lists 442 classes with 9,022 vertices, the 27-cycle included
@@ -850,33 +885,36 @@ class TestWitnessCeiling:
         monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", 9022)
         assert verify_no_smaller_graph(27, 27).to_dict() == full.to_dict()
         monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", 9021)
-        with pytest.raises(GraphError, match="442 witness classes .* hold 9022 vertices, above 9021$"):
+        with pytest.raises(
+            GraphError,
+            match="^witness ceiling exceeded: the witnesses for n = 27 below budget 27 hold "
+            "more than 9021 vertices$",
+        ):
             verify_no_smaller_graph(27, 27)
 
     def test_vertex_ceiling_raises_before_building(self, monkeypatch):
-        # (12, B) lists B - 4 classes with about B**2 / 2 vertices, far
-        # below the class ceiling
-        def no_build(*args):
-            raise AssertionError("a witness graph was built")
+        # (12, B) lists B - 4 classes with about B**2 / 2 vertices. One
+        # vertex short, the last skeleton with witnesses runs the room out
+        # and builds none of them; the skeletons before it are built
+        full = verify_no_smaller_graph(12, 300)
+        total = sum(g.vertex_count for g in full.witnesses)
+        assert (len(full.witnesses), total) == (296, 44_852)
+        per_skeleton = [sk["witnesses"] for level in full.levels for sk in level["skeletons"]]
+        last = [w for w in per_skeleton if w][-1]
+        built = []
 
-        witnesses = verify_no_smaller_graph(12, 300).witnesses
-        total = sum(g.vertex_count for g in witnesses)
-        assert (len(witnesses), total) == (296, 44_852)
+        def building(skeleton, vec):
+            built.append(vec)
+            return subdivision(skeleton, vec)
+
+        monkeypatch.setattr(search_oracle, "subdivision", building)
+        monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", total)
+        assert verify_no_smaller_graph(12, 300).to_dict() == full.to_dict()
+        built.clear()
         monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", total - 1)
-        with pytest.raises(GraphError, match=f"296 witness classes .* hold {total} vertices"):
+        with pytest.raises(GraphError, match=f"more than {total - 1} vertices$"):
             verify_no_smaller_graph(12, 300)
-        monkeypatch.undo()
-        monkeypatch.setattr(search_oracle, "subdivision", no_build)
-        with pytest.raises(
-            GraphError,
-            match=f"^witness ceiling exceeded: the 9996 witness classes for n = 12 below "
-            f"budget 10000 hold 49995002 vertices, above {WITNESS_VERTEX_CEILING}$",
-        ):
-            verify_no_smaller_graph(12, 10_000)
-
-    def test_rejects_a_ceiling_below_one(self):
-        with pytest.raises(GraphError):
-            verify_no_smaller_graph(13, 13, max_witnesses=0)
+        assert len(built) == len(full.witnesses) - 1 - len(last)
 
 
 class TestVerifier:
@@ -938,6 +976,29 @@ class TestVerifier:
             for budget in range(3, 10):
                 proved = verify_no_smaller_graph(n, budget).proved
                 assert proved == (alpha is None or alpha >= budget), (n, budget)
+
+    def test_level_five_agrees_with_alpha_at_small_budgets(self):
+        # from n = 40 on the proof reads level 5; route B, vertex
+        # augmentation, decides the same budgets independently
+        verdicts = Counter()
+        for n in range(40, 75):
+            for budget in (8, 9):
+                proved = verify_no_smaller_graph(n, budget).proved
+                assert proved == (alpha_exact(n, budget - 1).value is None), (n, budget)
+                verdicts[proved] += 1
+        assert verdicts == {True: 16, False: 54}
+
+    @pytest.mark.parametrize("n", [41, 43, 46, 47, 53, 58])
+    def test_level_five_witnesses_equal_canonical_dedup(self, n):
+        got = verify_no_smaller_graph(n, n).witnesses
+        assert 0 < len(got) <= 5
+        assert got == reference_witnesses(n, n)
+
+    def test_skeleton_ceiling_stops_at_75(self):
+        report = verify_no_smaller_graph(74, 74)
+        assert report.levels[-1]["cyclomatic"] == 5 and report.levels[-1]["min_tau"] == "75"
+        with pytest.raises(GraphError, match="^n = 75 needs skeletons of cyclomatic number 6, "):
+            verify_no_smaller_graph(75, 10)
 
     @pytest.mark.slow
     def test_22_is_a_fixed_point(self):
