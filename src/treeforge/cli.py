@@ -48,9 +48,10 @@ IDONEAL_SCAN_MAX = 10**8
 
 #: Largest HI that `scan` accepts, and the largest `verify bounds --limit`
 #: (each n checked there costs what a scan row costs). Every row is built
-#: before the first is printed: `scan 3 100000` took 31 s of CPU time at a
-#: peak RSS of 69 MB (CPython 3.11, 2-vCPU VM), and rows near 10**5 take
-#: about 0.5 ms each. `verify bounds --limit 100000` took 32 s at 19 MB.
+#: before the first is printed: `scan 3 100000` took 24 s of CPU time at a
+#: peak RSS of 59 MB (CPython 3.11, 2-vCPU VM, process start included), and
+#: rows near 10**5 take about 0.5 ms each. `verify bounds --limit 100000`
+#: took 23-24 s at 19 MB.
 SCAN_MAX = 10**5
 
 #: Range of `verify bounds` when --limit is not given.

@@ -10,7 +10,9 @@ removing a non-cut vertex never increases the count, so levels only need
 classes with count <= n. A minimal witness also never has a bridge, since
 contracting a bridge keeps the count while shrinking the graph, but no
 level is filtered by it: deleting a vertex can create a bridge, so a
-bridgeless class may extend only classes with bridges.
+bridgeless class may extend only classes with bridges. Both searches run
+one walk over the levels (_search), and an alpha query with n above
+Cayley's count budget**(budget-2) of K_budget builds no level.
 
 verify_no_smaller_graph mechanizes the subdivision argument. Any connected
 simple graph with count n >= 3 reduces (by deleting pendant vertices,
@@ -420,14 +422,39 @@ def _cap_tier(n: int) -> int:
     return 1 << max(6, (n - 1).bit_length())
 
 
-def _space(kind: str, budget: int, cap: int, levels: list[tuple[int, int]]) -> dict:
-    return {
-        "kind": kind,
+def _search(n: int, kind: SearchKind, budget: int, edge_cap: int | None) -> SearchResult:
+    """The walk of alpha_exact and beta_exact over levels 1..budget, under
+    n's count tier and edge_cap. A level's first graph with n trees has the
+    fewest edges of its hits (_level sorts by edge count), and is kept when
+    it has fewer than the best so far; alpha stops at its first hit. An
+    alpha query with n above budget**(budget-2) builds no level: every
+    simple graph on k vertices lies inside K_k, with k**(k-2) trees."""
+    cap = _cap_tier(n)
+    levels: dict[str, int] = {}
+    best: Multigraph | None = None
+    alpha = kind is SearchKind.ALPHA
+    if not alpha or n <= budget ** max(budget - 2, 0):
+        for k in range(1, budget + 1):
+            level = _level(k, cap, edge_cap)
+            levels[str(k)] = len(level)
+            for g, t in level:
+                if t == n:
+                    if best is None or g.edge_count < best.edge_count:
+                        best = g
+                    break
+            if alpha and best is not None:
+                break
+    space = {
+        "kind": kind.value,
         "budget": budget,
         "filter": f"connected simple graphs, tree count <= {cap} "
         "(hereditary under non-cut-vertex deletion), one per isomorphism class",
-        "classes_per_level": {str(k): c for k, c in levels},
+        "classes_per_level": levels,
     }
+    if best is None:
+        return SearchResult(n, kind, None, None, space)
+    w = Witness(best, n, best.vertex_count, best.edge_count, Strategy.SEARCH)
+    return SearchResult(n, kind, w.vertices if alpha else w.edges, w, space)
 
 
 def alpha_exact(n: int, max_vertices: int = 8) -> SearchResult:
@@ -446,21 +473,7 @@ def alpha_exact(n: int, max_vertices: int = 8) -> SearchResult:
         raise GraphError(
             f"search ceiling exceeded: max_vertices {max_vertices} > {DEFAULT_VERTEX_CEILING}"
         )
-    cap = _cap_tier(n)
-    levels = []
-    for k in range(1, max_vertices + 1):
-        level = _level(k, cap)
-        levels.append((k, len(level)))
-        hits = [(g, t) for g, t in level if t == n]
-        if hits:
-            g, t = hits[0]
-            w = Witness(g, t, k, g.edge_count, Strategy.SEARCH)
-            return SearchResult(
-                n, SearchKind.ALPHA, k, w, _space("alpha", max_vertices, cap, levels)
-            )
-    return SearchResult(
-        n, SearchKind.ALPHA, None, None, _space("alpha", max_vertices, cap, levels)
-    )
+    return _search(n, SearchKind.ALPHA, max_vertices, None)
 
 
 def beta_exact(n: int, max_edges: int) -> SearchResult:
@@ -481,22 +494,7 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
         raise GraphError(
             f"search ceiling exceeded: max_edges {max_edges} > {BETA_EDGE_CEILING}"
         )
-    cap = _cap_tier(n)
-    best: tuple[int, Multigraph, TreeCount] | None = None
-    levels = []
-    for k in range(1, max_edges + 1):
-        level = _level(k, cap, max_edges)
-        levels.append((k, len(level)))
-        for g, t in level:
-            if t == n and g.edge_count <= max_edges:
-                if best is None or g.edge_count < best[0]:
-                    best = (g.edge_count, g, t)
-    space = _space("beta", max_edges, cap, levels)
-    if best is None:
-        return SearchResult(n, SearchKind.BETA, None, None, space)
-    edges, g, t = best
-    w = Witness(g, t, g.vertex_count, edges, Strategy.SEARCH)
-    return SearchResult(n, SearchKind.BETA, edges, w, space)
+    return _search(n, SearchKind.BETA, max_edges, max_edges)
 
 
 # ---------------------------------------------------------------------------

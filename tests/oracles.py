@@ -8,7 +8,8 @@ end. Two are pre-pruning: they keep the code paths that the skeleton prune
 and the orbit-least witness filter replaced, canonical_form included, so
 that the pruned versions can be checked to change no output. Two keep the
 non-incremental forms of the prune and the filter, fast enough to check
-the incremental ones on level 5 and on large hit lists.
+the incremental ones on level 5 and on large hit lists. One keeps the
+separate alpha and beta walks over the levels that one shared walk replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from treeforge.graph_core import Multigraph, canonical_form, cycle_graph, subdivision
-from treeforge.search_oracle import Skeleton, _sweeps
+from treeforge.minimal_builder import Strategy, Witness
+from treeforge.search_oracle import (
+    SearchKind,
+    SearchResult,
+    Skeleton,
+    _cap_tier,
+    _level,
+    _sweeps,
+)
 
 
 def brute_tau(g: Multigraph) -> int:
@@ -406,6 +415,48 @@ def reference_witnesses(n: int, budget: int) -> list[Multigraph]:
         if level_min > n:
             return witnesses
         c += 1
+
+
+def reference_search(n: int, kind: str, budget: int) -> SearchResult:
+    """alpha_exact(n, budget) or beta_exact(n, budget), argument checks
+    aside, as two separate walks over the levels: alpha stops at the first
+    level with a hit and takes its first hit; beta walks every level and
+    keeps a hit only with fewer edges than the best so far."""
+    cap = _cap_tier(n)
+    levels = []
+
+    def space():
+        return {
+            "kind": kind,
+            "budget": budget,
+            "filter": f"connected simple graphs, tree count <= {cap} "
+            "(hereditary under non-cut-vertex deletion), one per isomorphism class",
+            "classes_per_level": {str(k): c for k, c in levels},
+        }
+
+    if kind == "alpha":
+        for k in range(1, budget + 1):
+            level = _level(k, cap)
+            levels.append((k, len(level)))
+            hits = [(g, t) for g, t in level if t == n]
+            if hits:
+                g, t = hits[0]
+                w = Witness(g, t, k, g.edge_count, Strategy.SEARCH)
+                return SearchResult(n, SearchKind.ALPHA, k, w, space())
+        return SearchResult(n, SearchKind.ALPHA, None, None, space())
+    best = None
+    for k in range(1, budget + 1):
+        level = _level(k, cap, budget)
+        levels.append((k, len(level)))
+        for g, t in level:
+            if t == n and g.edge_count <= budget:
+                if best is None or g.edge_count < best[0]:
+                    best = (g.edge_count, g, t)
+    if best is None:
+        return SearchResult(n, SearchKind.BETA, None, None, space())
+    edges, g, t = best
+    w = Witness(g, t, g.vertex_count, edges, Strategy.SEARCH)
+    return SearchResult(n, SearchKind.BETA, edges, w, space())
 
 
 def full_transposition_sources(v: int, cells: list[tuple[int, int]]) -> list[list[int]]:

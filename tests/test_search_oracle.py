@@ -49,6 +49,7 @@ from oracles import (
     brute_subdivision_sweep,
     full_transposition_sources,
     image_orbit_least,
+    reference_search,
     reference_skeletons,
     reference_witnesses,
     transposition_skeletons,
@@ -402,6 +403,29 @@ class TestAlphaBeta:
         for n in (8, 9, 11, 12):
             res = alpha_exact(n, 7)
             assert tau_matrix(res.witness.graph) == n
+
+    def test_shared_walk_equals_reference(self):
+        for n in range(3, 80):
+            for kind, search, budgets in (
+                ("alpha", alpha_exact, range(1, 9)),
+                ("beta", beta_exact, range(1, 10)),
+            ):
+                for b in budgets:
+                    got, ref = search(n, b), reference_search(n, kind, b)
+                    if kind == "alpha" and n > b ** max(b - 2, 0):
+                        # stopped at Cayley's bound: nothing walked, same answer
+                        assert got.value is ref.value is None and got.witness is None
+                        assert got.search_space == {**ref.search_space, "classes_per_level": {}}
+                    else:
+                        assert got == ref, (kind, n, b)
+
+    def test_cayley_stop(self):
+        # K_8 has 8**6 = 262144 trees, the most of any graph on 8 vertices
+        assert alpha_exact(262144, 8).value == 8
+        clear_level_cache()
+        res = alpha_exact(262145, 8)
+        assert res.value is None and res.search_space["classes_per_level"] == {}
+        assert not search_oracle._levels and not search_oracle._verdicts
 
     def test_alpha_beta_ordering_small(self):
         # alpha < beta except at fixed points, where both equal n
