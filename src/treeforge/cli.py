@@ -93,8 +93,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.spec and args.file is not None:
         print("count takes a FILE or --spec, not both", file=sys.stderr)
         return 2
+    closed_form = None
     if args.spec:
-        g, _ = parse_construction(args.spec)
+        g, closed_form = parse_construction(args.spec)
         source = {"spec": args.spec}
     else:
         path = "-" if args.file is None else args.file
@@ -107,7 +108,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        g = load_graph(text, args.format)
+        g = load_graph(text)
         source = {"file": path}
     values = {}
     if args.method in ("matrix", "both"):
@@ -121,6 +122,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         )
         return 1
     tau = next(iter(values.values()))
+    if closed_form is not None and tau != closed_form:
+        print(
+            f"closed-form disagreement: {args.method}={tau} closed_form={closed_form}",
+            file=sys.stderr,
+        )
+        return 1
     if tau == 0:
         print("warning: graph is disconnected, count is 0", file=sys.stderr)
     outputs = {"tau": str(tau), "method": args.method}
@@ -386,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count", help="count spanning trees of a graph", parents=[common])
     c.add_argument("file", nargs="?", default=None, help="edge-list or graph6 file; - or none for stdin")
     c.add_argument("--spec", help="count a built family instead, e.g. theta:2,3,4")
-    c.add_argument("--format", choices=["edgelist", "graph6"], default=None)
     c.add_argument("--method", choices=["matrix", "dc", "both"], default="matrix")
     c.set_defaults(func=cmd_count)
 

@@ -161,14 +161,11 @@ def tau_variant(spec: VariantSpec) -> TreeCount:
 
 
 def tau_generalized_theta(lengths: Sequence[int]) -> TreeCount:
-    """e_{k-1}(lengths): drop each path in turn and multiply the rest."""
-    total = 0
-    for i in range(len(lengths)):
-        prod = 1
-        for j, l in enumerate(lengths):
-            if j != i:
-                prod *= l
-        total += prod
+    """e_{k-1}(lengths), in one pass: with E = e_{j-1} and P = e_j of the
+    first j lengths, the next length l gives E*l + P and P*l."""
+    total, prod = 0, 1
+    for l in lengths:
+        total, prod = total * l + prod, prod * l
     return total
 
 

@@ -187,18 +187,15 @@ def parse_graph6(text: str) -> Multigraph:
     return Multigraph.from_edges(n, pairs)
 
 
-def load_graph(text: str, fmt: str | None = None) -> Multigraph:
-    """Parse either supported format, auto-detecting when ``fmt`` is None."""
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt is not None:
-        raise ParseError(f"unknown format {fmt!r}")
+def load_graph(text: str) -> Multigraph:
+    """Parse either supported format, as its first significant line says. A
+    graph6 line holds only bytes 63-126, so it has no blanks and is never
+    the token 'p': such a line starts an edge list, any other line graph6."""
     lines = _lines(text)
     first = _first_line(lines)
     if first is None:
         raise ParseError("empty input")
-    if first[1].split()[0] == "p":
+    fields = first[1].split()
+    if len(fields) > 1 or fields[0] == "p":
         return _edge_list(text, lines, *first)
     return parse_graph6(text)

@@ -26,9 +26,10 @@ the minimum count at cyclomatic number c exceeds n: adding an ear raises
 the count by at least 2 (and a new cycle block multiplies it by >= 3), so
 deeper levels only grow. Each level is one cached table (_sweeps): the
 sweep of every skeleton, with its least count and vertex total, and the
-level's least count, so a query only reads them. A sweep sums its hits'
-vertex counts before listing them, so a skeleton whose witnesses cannot
-fit under the witness vertex ceiling is never listed.
+level's least count, so a query only reads them. A sweep fills its hits
+as they are read, and the verifier spends each kept hit's vertex count as
+it reads it, so a skeleton whose witnesses cannot fit under the witness
+vertex ceiling is read only until they overflow it.
 
 Both steps of the proof keep one labelled object per isomorphism class
 without canonicalising every candidate, in the manner of orderly generation
@@ -63,8 +64,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, prod
-from typing import Iterator, Sequence
+from math import comb, inf
+from typing import Iterable, Iterator, Sequence
 
 from .graph_core import (
     GraphError,
@@ -686,8 +687,8 @@ class _Sweep:
     Built once per skeleton and process, in the level table ``_sweeps``,
     so every query reuses the terms, the slot split, the minimal lengths,
     the least count and vertex total (``min_tau``, ``min_vertices``) and,
-    once some query has hits, the automorphisms and the slot map of each:
-    those of the skeleton's residue that keep its loop counts, closed by
+    once some query has hits, the slot map of each automorphism: the
+    automorphisms are those of the skeleton's residue that keep its loop counts, closed by
     graph_core.automorphisms from the ones canonical_form's search meets.
     Missing ones could only keep duplicate witnesses, never drop a class,
     so no verdict depends on them.
@@ -697,10 +698,9 @@ class _Sweep:
     isomorphic subdivisions come from the same skeleton and differ by a
     skeleton automorphism together with a bijection inside each cell (a
     parallel class or the loops at one vertex). Every member of such an
-    orbit is a hit, and the hits are sorted, so the orbit's
-    lexicographically least member is its first hit, the one a canonical
-    dedup keeps. It is the hit that no automorphism maps to a smaller
-    vector, where the image puts each cell's lengths, sorted ascending,
+    orbit is a hit, so a canonical dedup of the sorted hits keeps the
+    orbit's lexicographically least member. It is the hit that no
+    automorphism maps to a smaller vector, where the image puts each cell's lengths, sorted ascending,
     onto the image cell's slots. Different skeletons never give isomorphic
     subdivisions, and no subdivision is a cycle, so nothing else can
     repeat a witness.
@@ -735,33 +735,26 @@ class _Sweep:
                 self.mins[i] = 2
         self.min_tau = self.tau(self.mins)
         self.min_vertices = skeleton.vertex_count + sum(l - 1 for l in self.mins)
-        self._automorphisms: list[tuple[int, ...]] | None = None
         self._maps: list[list[int]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
         return eval_terms(self.terms, lengths)
 
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        """Vertex permutations of the skeleton that keep the slot count of
-        every cell, loops included: the automorphisms of its residue that
-        keep the loop counts. Computed on first use and cached."""
-        if self._automorphisms is None:
-            self._automorphisms = automorphisms(*self.skeleton.residue())
-        return self._automorphisms
-
     def _slot_maps(self) -> list[list[int]]:
         """Per automorphism sigma, where each slot's image length comes
         from, as an index into the concatenation of every cell's sorted
         lengths (cells in ``cells`` order): the slots of cell sigma(C), in
-        index order, get the lengths of cell C in ascending order. Computed
-        on first use and cached."""
+        index order, get the lengths of cell C in ascending order. The
+        automorphisms are the vertex permutations of the skeleton that keep
+        the slot count of every cell, loops included: those of its residue
+        that keep the loop counts. Computed on first use and cached."""
         if self._maps is None:
             offsets, start = {}, 0
             for cell, idxs in self.cells.items():
                 offsets[cell] = start
                 start += len(idxs)
             self._maps = []
-            for sigma in self.automorphisms():
+            for sigma in automorphisms(*self.skeleton.residue()):
                 source = [0] * len(self.slots)
                 for (a, b), first in offsets.items():
                     x, y = sigma[a], sigma[b]
@@ -770,10 +763,11 @@ class _Sweep:
                 self._maps.append(source)
         return self._maps
 
-    def orbit_least(self, hits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    def orbit_least(self, hits: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         """The hits that no automorphism maps to a lexicographically smaller
-        vector. The image under sigma puts cell C's lengths, sorted
-        ascending, onto the slots of cell sigma(C) in index order.
+        vector, in the order they are read. The image under sigma puts cell
+        C's lengths, sorted ascending, onto the slots of cell sigma(C) in
+        index order.
 
         Each hit's cells are sorted once and shared by every automorphism,
         whose image is read slot by slot off them (_slot_maps). The image
@@ -781,12 +775,11 @@ class _Sweep:
         first slot where they differ: that slot alone decides the
         lexicographic comparison, so the verdict is that of building the
         whole image and comparing it."""
-        if not hits:
-            return []
-        maps = self._slot_maps()
         cell_slots = list(self.cells.values())
-        kept = []
+        maps = None  # read at the first hit: a sweep with none needs no group
         for vec in hits:
+            if maps is None:
+                maps = self._slot_maps()
             flat = []
             for idxs in cell_slots:
                 flat += sorted([vec[i] for i in idxs])
@@ -799,25 +792,14 @@ class _Sweep:
                 if flat[f] < vec[j]:
                     break
             else:
-                kept.append(vec)
-        return kept
-
-    def orbit_bound(self) -> int:
-        """The most hits one orbit can hold: its members are the images of
-        one hit under an automorphism followed by a bijection inside each
-        cell. orbit_least keeps one hit per orbit of the automorphisms it
-        is given, and an orbit's members have equal vertex counts, so hits
-        with more than k * orbit_bound() vertices in all leave it more than
-        k vertices to keep."""
-        cell_bijections = prod(factorial(len(idxs)) for idxs in self.cells.values())
-        return len(self.automorphisms()) * cell_bijections
+                yield vec
 
     def find_assignments(
-        self, n: int, vertex_budget: int, max_vertices: float = inf
-    ) -> tuple[int, list[tuple[int, ...]] | None]:
+        self, n: int, vertex_budget: int
+    ) -> tuple[int, Iterator[tuple[int, ...]]]:
         """All admissible length vectors with count exactly n and strictly
-        fewer than vertex_budget vertices, in lexicographic order. Returns
-        (tried, hits).
+        fewer than vertex_budget vertices. Returns (tried, hits), where hits
+        is an iterator that fills each vector as it is read.
 
         ``tried`` is the number of admissible vectors within the budget
         whose count is at most n. The count and the vertex total are both
@@ -831,41 +813,33 @@ class _Sweep:
         completion above n: the bound costs one pass over the terms and no
         count per l. The vertex budget, with the later slots at their
         floors, gives the other end. At the last cycle slot A*l + B is the
-        count itself. Bridges are never walked: a vector of cycle lengths
-        with count <= n and R spare vertices extends by exactly
-        C(R + b, b) bridge vectors (b bridges of lengths 1 + r_k with
-        sum r_k <= R), all added to ``tried``; when its count is n each of
-        them is a hit. Bridge slots sit between cycle slots, so the hits
-        are sorted at the end.
+        count itself. This pass lists the vectors of cycle lengths with
+        count n and adds up ``tried``: a vector of cycle lengths with count
+        <= n and R spare vertices extends by exactly C(R + b, b) bridge
+        vectors (b bridges of lengths 1 + r_k with sum r_k <= R), and when
+        its count is n each of them is a hit.
 
-        The hits' vertex counts are summed before they are listed. The
-        subdivision with spare R and bridge lengths 1 + r_k has
-        vertex_budget - 1 - R + sum r_k vertices, and sum r_k summed over
-        the C(R + b, b) bridge vectors is b * C(R + b, b + 1): over those
-        vectors each of the b + 1 parts of R (the r_k and the unspent
-        slack) has the same total, R * C(R + b, b) / (b + 1), which is
-        C(R + b, b + 1). Isomorphic hits have equal vertex counts, and one
-        class holds at most orbit_bound() hits, so when the sum exceeds
-        max_vertices * orbit_bound() the classes' vertices exceed
-        max_vertices, and hits is None: nothing is listed, since the bridge
-        vectors grow with a power of the budget.
+        Bridges are walked only as the hits are read, so a caller that
+        stops reading lists no more of them; their number grows with a
+        power of the budget. The hits of one cycle vector come in
+        lexicographic order, and cycle vectors in lexicographic order of
+        their cycle slots, but bridge slots sit between cycle slots, so
+        the whole sequence is not sorted.
         """
         floors = self.floors
         cyc = self.cycle_idx
         m = len(cyc)
         suffix_extra = self.suffix_extra
         max_extra = vertex_budget - 1 - self.skeleton.vertex_count
-        if max_extra < suffix_extra[0]:
-            return 0, []
         bridges = self.bridge_idx
         nb = len(bridges)
         lengths = floors[:]
-        tried = hit_vertices = 0
+        tried = 0
         # cycle vectors with count n, each with its spare vertices
         leaves: list[tuple[list[int], int]] = []
 
         def assign(j: int, extra: int, ones_used: set[tuple[int, int]]) -> None:
-            nonlocal tried, hit_vertices
+            nonlocal tried
             i = cyc[j]
             # the terms holding i give the slope of the count in l_i, the
             # others its intercept
@@ -889,11 +863,8 @@ class _Sweep:
             if j == m - 1:
                 for l in range(lo, hi + 1):
                     spare = max_extra - extra - (l - 1)
-                    ways = comb(spare + nb, nb)
-                    tried += ways
+                    tried += comb(spare + nb, nb)
                     if slope * l + base == n:
-                        bridge_extra = nb * comb(spare + nb, nb + 1)
-                        hit_vertices += ways * (vertex_budget - 1 - spare) + bridge_extra
                         lengths[i] = l
                         leaves.append((lengths[:], spare))
                 lengths[i] = floors[i]
@@ -909,24 +880,25 @@ class _Sweep:
             lengths[i] = floors[i]
 
         assign(0, 0, set())
-        if hit_vertices > max_vertices and hit_vertices > max_vertices * self.orbit_bound():
-            return tried, None
-        hits: list[tuple[int, ...]] = []
 
-        def fill_bridges(vec: list[int], k: int, spare: int) -> None:
-            if k == nb:
-                hits.append(tuple(vec))
-                return
-            s = bridges[k]
-            for l in range(1, spare + 2):
-                vec[s] = l
-                fill_bridges(vec, k + 1, spare - (l - 1))
-            vec[s] = 1
+        def fill_bridges() -> Iterator[tuple[int, ...]]:
+            # per leaf, the bridge lengths 1 + r_k with sum r_k <= spare in
+            # lexicographic order: raise the last bridge that leaves the
+            # sum within spare, after resetting every bridge behind it to 1
+            for vec, spare in leaves:
+                while True:
+                    yield tuple(vec)
+                    k = nb - 1
+                    while k >= 0 and spare == 0:
+                        spare += vec[bridges[k]] - 1
+                        vec[bridges[k]] = 1
+                        k -= 1
+                    if k < 0:
+                        break
+                    vec[bridges[k]] += 1
+                    spare -= 1
 
-        for vec, spare in leaves:
-            fill_bridges(vec, 0, spare)
-        hits.sort()
-        return tried, hits
+        return tried, fill_bridges()
 
 
 @lru_cache(maxsize=None)
@@ -981,12 +953,12 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
 
     The witnesses may hold at most WITNESS_VERTEX_CEILING vertices in all.
     The room left starts at the ceiling, less the n-cycle when it is a
-    witness, and each swept skeleton spends the exact vertex total of the
-    vectors it keeps. A sweep gets the room as its max_vertices, so it
-    returns no list, before listing anything, when its hits' vertex sum
-    shows that its classes cannot fit (see _Sweep.find_assignments). When
-    the room runs out, GraphError is raised at that skeleton; otherwise its
-    witness graphs are built at once.
+    witness, and each swept skeleton's hits are read one at a time: every
+    vector orbit_least keeps spends its vertex count at once, and GraphError
+    is raised as soon as the room runs out, before any witness graph of
+    that skeleton is built, so hits past that point are never listed. A
+    skeleton that fits has its kept vectors sorted, in the order a
+    canonical dedup of the sorted hits keeps them, and built.
     """
     if n < 3:
         raise GraphError("defined for n >= 3")
@@ -1029,16 +1001,19 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
             elif sweep.min_vertices >= vertex_budget:
                 entry["status"] = "pruned_budget"
             else:
-                tried, hits = sweep.find_assignments(n, vertex_budget, room)
-                kept = [] if hits is None else sweep.orbit_least(hits)
+                tried, hits = sweep.find_assignments(n, vertex_budget)
                 # a subdivision adds l - 1 vertices on a slot of length l
                 base = sweep.skeleton.vertex_count - len(sweep.slots)
-                room -= sum(base + sum(vec) for vec in kept)
-                if hits is None or room < 0:
-                    raise GraphError(
-                        f"witness ceiling exceeded: the witnesses for n = {n} below budget "
-                        f"{vertex_budget} hold more than {WITNESS_VERTEX_CEILING} vertices"
-                    )
+                kept = []
+                for vec in sweep.orbit_least(hits):
+                    room -= base + sum(vec)
+                    if room < 0:
+                        raise GraphError(
+                            f"witness ceiling exceeded: the witnesses for n = {n} below budget "
+                            f"{vertex_budget} hold more than {WITNESS_VERTEX_CEILING} vertices"
+                        )
+                    kept.append(vec)
+                kept.sort()
                 entry["assignments_tried"] = tried
                 for vec in kept:
                     g = subdivision(sweep.skeleton, vec)

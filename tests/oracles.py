@@ -19,7 +19,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
-from treeforge.graph_core import Multigraph, canonical_form, cycle_graph, subdivision
+from treeforge.graph_core import (
+    Multigraph,
+    automorphisms,
+    canonical_form,
+    cycle_graph,
+    subdivision,
+)
 from treeforge.minimal_builder import Strategy, Witness
 from treeforge.search_oracle import (
     SearchKind,
@@ -406,7 +412,7 @@ def reference_witnesses(n: int, budget: int) -> list[Multigraph]:
         for sweep in sweeps:
             if sweep.min_tau > n or sweep.min_vertices >= budget:
                 continue
-            for vec in sweep.find_assignments(n, budget)[1]:
+            for vec in sorted(sweep.find_assignments(n, budget)[1]):
                 g = subdivision(sweep.skeleton, vec)
                 key = canonical_form(g)
                 if key not in seen:
@@ -544,7 +550,7 @@ def image_orbit_least(sweep, hits) -> list[tuple[int, ...]]:
     image is smaller."""
     cells = sweep.cells
     moves = []
-    for sigma in sweep.automorphisms():
+    for sigma in automorphisms(*sweep.skeleton.residue()):
         move = []
         for (a, b), idxs in cells.items():
             x, y = sigma[a], sigma[b]

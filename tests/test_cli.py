@@ -125,6 +125,16 @@ def test_count_spec(capsys):
     assert code == 0 and out.strip() == "26"
 
 
+@pytest.mark.parametrize("method", ["matrix", "dc", "both"])
+def test_count_spec_checks_the_closed_form(capsys, monkeypatch, method):
+    # the count printed is compared with the family's closed form
+    parse = cli.parse_construction
+    monkeypatch.setattr(cli, "parse_construction", lambda text: (parse(text)[0], 27))
+    code, out, err = run(capsys, "count", "--spec", "theta:2,3,4", "--method", method)
+    assert code == 1 and out == ""
+    assert err == f"closed-form disagreement: {method}=26 closed_form=27\n"
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -22,8 +22,8 @@ from treeforge.constructions import (
     tau_theta,
     tau_variant,
 )
-from treeforge.graph_core import GraphError, add_path, is_simple
-from treeforge.tree_count import tau_matrix
+from treeforge.graph_core import GraphError, Skeleton, add_path, is_simple
+from treeforge.tree_count import tau_matrix, tau_subdivision
 
 from oracles import brute_tau
 
@@ -107,6 +107,15 @@ class TestGeneralizedTheta:
             tau_generalized_theta(p) == base for p in permutations(lengths)
         )
         assert is_simple(build_generalized_theta(lengths))
+
+
+    def test_one_pass_equals_tree_terms(self, rng):
+        # e_{k-1} by the recurrence against the spanning trees of k
+        # parallel slots, one term per slot left out of the tree
+        for _ in range(200):
+            lengths = [rng.randint(1, 50) for _ in range(rng.randint(1, 12))]
+            theta = Skeleton(2, ((0, 1),) * len(lengths))
+            assert tau_generalized_theta(lengths) == tau_subdivision(theta, lengths), lengths
 
 
 class TestVariants:

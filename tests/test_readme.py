@@ -1,6 +1,6 @@
 """Every `treeforge ...` line in the README's sh blocks parses with the
-CLI's own parser, so the documented commands cannot drift from the options
-the program accepts."""
+CLI's own parser, and every python block runs, so neither the documented
+commands nor the documented library calls can drift from the program."""
 
 import re
 import shlex
@@ -31,7 +31,21 @@ def readme_invocations() -> list[list[str]]:
     return invocations
 
 
+def readme_python_blocks() -> list[str]:
+    """The source of each of the README's python blocks."""
+    blocks, block = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append("\n".join(block))
+            block = [] if line.strip() == "```python" else None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
 INVOCATIONS = readme_invocations()
+PYTHON_BLOCKS = readme_python_blocks()
 
 
 def test_readme_has_invocations():
@@ -42,3 +56,12 @@ def test_readme_has_invocations():
 def test_readme_invocation_parses(argv):
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_has_python_blocks():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS)
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {})

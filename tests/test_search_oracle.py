@@ -1,8 +1,9 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from fractions import Fraction
 from math import comb, factorial
 
 import networkx as nx
@@ -641,7 +642,8 @@ class TestSweep:
     CASES = ((8, 9), (16, 11), (21, 10), (24, 11), (40, 12))
 
     def check(self, skel, n, budget):
-        got = _Sweep(skel).find_assignments(n, budget)
+        tried, hits = _Sweep(skel).find_assignments(n, budget)
+        got = tried, sorted(hits)
         want = brute_subdivision_sweep(skel.vertex_count, skel.slots, n, budget, tau_matrix)
         assert got == want, (skel.describe(), n, budget)
         return got
@@ -684,9 +686,9 @@ class TestOrbits:
     TRIPOD = Skeleton(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
 
     def test_automorphism_counts(self):
-        assert len(_Sweep(self.THETA).automorphisms()) == 2
-        assert len(_Sweep(self.K4).automorphisms()) == 24
-        assert len(_Sweep(self.TRIPOD).automorphisms()) == 6
+        assert len(automorphisms(*self.THETA.residue())) == 2
+        assert len(automorphisms(*self.K4.residue())) == 24
+        assert len(automorphisms(*self.TRIPOD.residue())) == 6
 
     def test_automorphisms_against_all_permutations(self):
         for c in (2, 3, 4):
@@ -697,7 +699,7 @@ class TestOrbits:
                     for perm in permutations(range(s.vertex_count))
                     if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in cells) == cells
                 ]
-                assert _Sweep(s).automorphisms() == want, s.describe()
+                assert automorphisms(*s.residue()) == want, s.describe()
 
     def test_automorphisms_level_5_against_signature_permutations(self):
         # every permutation that keeps each vertex's (degree, loop count),
@@ -721,7 +723,7 @@ class TestOrbits:
                     for (a, b), m in mult.items()
                 ):
                     want.append(tuple(perm))
-            assert _Sweep(s).automorphisms() == sorted(want), s.describe()
+            assert automorphisms(*s.residue()) == sorted(want), s.describe()
 
     @pytest.mark.parametrize(
         "name, pairs, order",
@@ -779,23 +781,17 @@ class TestOrbits:
             for sweep in _sweeps(c)[0]:
                 if sweep.min_tau > n or sweep.min_vertices >= budget:
                     continue
-                hits = sweep.find_assignments(n, budget)[1]
+                hits = sorted(sweep.find_assignments(n, budget)[1])
                 vectors = [
                     tuple(rng.randint(1, 3) for _ in sweep.slots) for _ in range(20)
                 ]
                 for vecs in (hits, vectors):
-                    assert sweep.orbit_least(vecs) == image_orbit_least(sweep, vecs)
+                    assert list(sweep.orbit_least(vecs)) == image_orbit_least(sweep, vecs)
                 swept += bool(hits)
         assert swept > 0
 
     def test_36_36_witness_count(self):
         assert len(verify_no_smaller_graph(36, 36).witnesses) == 3094
-
-
-def vertex_total(sweep, vectors):
-    """Vertices summed over the subdivisions of sweep's skeleton with the
-    given length vectors."""
-    return sum(sweep.skeleton.vertex_count + sum(l - 1 for l in vec) for vec in vectors)
 
 
 class TestWitnessCeiling:
@@ -817,75 +813,77 @@ class TestWitnessCeiling:
         ):
             verify_no_smaller_graph(27, 100)
 
-    def test_hit_vertex_sum_is_exact(self):
-        # the closed form summed in the count pass equals the vertices of
-        # the listed hits: the sweep lists them at max_vertices = S / bound
-        # and not at (S - 1) / bound
-        swept = bridged = 0
-        for c in (2, 3, 4):
-            for sweep in _sweeps(c)[0]:
-                for n, budget in self.CASES:
-                    if sweep.min_tau > n or sweep.min_vertices >= budget:
-                        continue
-                    hits = sweep.find_assignments(n, budget)[1]
-                    if not hits:
-                        continue
-                    total, bound = vertex_total(sweep, hits), sweep.orbit_bound()
-                    assert sweep.find_assignments(n, budget, Fraction(total, bound))[1] == hits
-                    assert sweep.find_assignments(n, budget, Fraction(total - 1, bound))[1] is None
-                    swept += 1
-                    bridged += len(sweep.bridge_idx) > 1
-        assert swept == 25 and bridged > 0
-
-    def test_hits_beyond_the_orbit_bound_are_not_listed(self):
-        # the sweep lists nothing only when the classes it would keep hold
-        # more than max_vertices vertices; otherwise it lists every hit
-        returned_none = 0
-        for c in (2, 3, 4):
-            for sweep in _sweeps(c)[0]:
-                for n, budget in self.CASES:
-                    tried, hits = sweep.find_assignments(n, budget)
-                    if not hits:
-                        continue
-                    kept = vertex_total(sweep, sweep.orbit_least(hits))
-                    for r in (0, 1, 20, 100, 1000, kept - 1, kept):
-                        got_tried, got = sweep.find_assignments(n, budget, r)
-                        assert got_tried == tried
-                        if got is None:
-                            returned_none += 1
-                            assert kept > r
-                        else:
-                            assert got == hits
-        assert returned_none > 50
-
-    def test_raises_before_listing_or_building(self, monkeypatch):
-        # at budget 300 one two-bridge skeleton has 42,486 hits with
-        # 8,596,334 vertices, and its automorphism group has order 2: they
-        # are summed, not listed. The skeleton that runs the room out is
-        # neither listed nor built; earlier ones are, fewer than 1,000 hits
-        two_bridges = _Sweep(Skeleton(3, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2))))
-        assert two_bridges.orbit_bound() == 2
-        assert two_bridges.find_assignments(27, 300, WITNESS_VERTEX_CEILING)[1] is None
-        swept, listed, built = [], [], []
-        find_assignments, orbit_least = _Sweep.find_assignments, _Sweep.orbit_least
-
-        def sweeping(sweep, *args):
-            swept.append(sweep.skeleton)
-            return find_assignments(sweep, *args)
-
-        def listing(sweep, hits):
-            listed.append((sweep.skeleton, len(hits)))
-            return orbit_least(sweep, hits)
+    def test_kept_vertex_total_is_the_exact_boundary(self, monkeypatch):
+        # with the ceiling at the vertices kept up to and including one
+        # skeleton, that skeleton is built whole; one vertex less, the room
+        # runs out at it and none of its witnesses is built
+        built = []
 
         def building(skeleton, vec):
             built.append(skeleton)
             return subdivision(skeleton, vec)
 
-        monkeypatch.setattr(_Sweep, "find_assignments", sweeping)
-        monkeypatch.setattr(_Sweep, "orbit_least", listing)
         monkeypatch.setattr(search_oracle, "subdivision", building)
-        for n, budget in ((27, 300), (27, 3000), (12, 10_000)):
-            for calls in (swept, listed, built):
+        boundaries = bridged = 0
+        for n, budget in self.CASES:
+            monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", WITNESS_VERTEX_CEILING)
+            built.clear()
+            full = verify_no_smaller_graph(n, budget).to_dict()
+            order = built[:]
+            spent = n if n < budget else 0
+            before = 0  # witnesses of the skeletons swept earlier
+            for level in full["levels"]:
+                sweeps = _sweeps(level["cyclomatic"])[0]
+                for sweep, entry in zip(sweeps, level["skeletons"]):
+                    kept = entry["witnesses"]
+                    if not kept:
+                        continue
+                    spent += sum(w["vertices"] for w in kept)
+                    monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", spent)
+                    built.clear()
+                    try:
+                        assert verify_no_smaller_graph(n, budget).to_dict() == full
+                    except GraphError:
+                        pass  # at a later skeleton
+                    assert len(built) >= before + len(kept) and built == order[: len(built)]
+                    monkeypatch.setattr(search_oracle, "WITNESS_VERTEX_CEILING", spent - 1)
+                    built.clear()
+                    with pytest.raises(GraphError, match=f"more than {spent - 1} vertices$"):
+                        verify_no_smaller_graph(n, budget)
+                    assert built == order[:before]
+                    before += len(kept)
+                    boundaries += 1
+                    bridged += len(sweep.bridge_idx) > 1
+            assert before == len(order)
+        assert boundaries == 25 and bridged > 0
+
+    def test_raises_after_reading_few_hits(self, monkeypatch):
+        # at budget 300 one two-bridge skeleton has 42,486 hits with
+        # 8,596,334 vertices, and (12, 10000) has 9,996 classes with about
+        # 50 million vertices. Hits are read only until the room runs out,
+        # and the skeleton that runs it out builds no witness
+        swept, read, built = [], [], []
+        orbit_least = _Sweep.orbit_least
+
+        def reading(sweep, hits):
+            swept.append(sweep.skeleton)
+            read.append(0)
+
+            def counted():
+                for vec in hits:
+                    read[-1] += 1
+                    yield vec
+
+            return orbit_least(sweep, counted())
+
+        def building(skeleton, vec):
+            built.append(skeleton)
+            return subdivision(skeleton, vec)
+
+        monkeypatch.setattr(_Sweep, "orbit_least", reading)
+        monkeypatch.setattr(search_oracle, "subdivision", building)
+        for n, budget, most in ((27, 300, 10_000), (27, 3000, 2000), (12, 10_000, 2000)):
+            for calls in (swept, read, built):
                 calls.clear()
             with pytest.raises(
                 GraphError,
@@ -893,8 +891,8 @@ class TestWitnessCeiling:
                 f"{budget} hold more than {WITNESS_VERTEX_CEILING} vertices$",
             ):
                 verify_no_smaller_graph(n, budget)
-            assert sum(k for _, k in listed) < 1000, (n, budget)
-            assert swept[-1] not in [skel for skel, _ in listed] + built, (n, budget)
+            assert 0 < sum(read) < most, (n, budget)
+            assert swept[-1] not in built, (n, budget)
 
     def test_vertex_ceiling_above_every_tested_list(self):
         # (36, 42) holds the most vertices of the lists below budget n + 6
@@ -1017,6 +1015,24 @@ class TestVerifier:
         got = verify_no_smaller_graph(n, n).witnesses
         assert 0 < len(got) <= 5
         assert got == reference_witnesses(n, n)
+
+    def test_transcripts_and_errors_are_pinned(self):
+        # the SHA-256 of every transcript, or error text, over n = 3..39 at
+        # budgets n and n + 6 and the bridge-heavy and ceiling-exceeding
+        # queries; the text of each query ends with a newline
+        grid = [(n, b) for n in range(3, 40) for b in (n, n + 6)]
+        grid += [(27, 40), (27, 100), (27, 300), (27, 3000), (12, 300), (12, 10_000)]
+        grid += [(38, 76), (38, 77), (38, 78)]
+        digest = hashlib.sha256()
+        for n, budget in grid:
+            try:
+                text = json.dumps(verify_no_smaller_graph(n, budget).to_dict(), sort_keys=True)
+            except GraphError as exc:
+                text = str(exc)
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "6aaed86a61dfbb1279d50b9c1c414d1b1dfa06fa8166c609247eac9efc42a708"
+        )
 
     def test_skeleton_ceiling_stops_at_75(self):
         report = verify_no_smaller_graph(74, 74)
