@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal  # str(Decimal(n)) is exact past str(n)'s 4,300-digit limit
 
 from . import __version__
 from .constructions import (
@@ -75,9 +76,13 @@ def _emit(report: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _digits(count: int) -> str:
+    return str(Decimal(count))
+
+
 def _witness_dict(w: Witness) -> dict:
     return {
-        "tau": str(w.tau),
+        "tau": _digits(w.tau),
         "vertices": w.vertices,
         "edges": w.edges,
         "strategy": w.strategy.value,
@@ -117,21 +122,21 @@ def cmd_count(args: argparse.Namespace) -> int:
         values["dc"] = tau_dc(g)
     if args.method == "both" and values["matrix"] != values["dc"]:
         print(
-            f"method disagreement: matrix={values['matrix']} dc={values['dc']}",
+            f"method disagreement: matrix={_digits(values['matrix'])} dc={_digits(values['dc'])}",
             file=sys.stderr,
         )
         return 1
     tau = next(iter(values.values()))
     if closed_form is not None and tau != closed_form:
         print(
-            f"closed-form disagreement: {args.method}={tau} closed_form={closed_form}",
+            f"closed-form disagreement: {args.method}={_digits(tau)} closed_form={_digits(closed_form)}",
             file=sys.stderr,
         )
         return 1
     if tau == 0:
         print("warning: graph is disconnected, count is 0", file=sys.stderr)
-    outputs = {"tau": str(tau), "method": args.method}
-    _emit(_report("count", source, outputs, started), args.json, str(tau))
+    outputs = {"tau": _digits(tau), "method": args.method}
+    _emit(_report("count", source, outputs, started), args.json, outputs["tau"])
     return 0
 
 
@@ -167,7 +172,7 @@ def _scan_row(n: int) -> dict:
     w = build_witness(n)
     return {
         "n": n,
-        "tau": str(w.tau),
+        "tau": _digits(w.tau),
         "edges": w.edges,
         "vertices": w.vertices,
         "strategy": w.strategy.value,
@@ -311,7 +316,7 @@ def _verify_variants(rows) -> tuple[int, list[dict]]:
             failure = {"spec": repr(spec)}
             if expected is not None:
                 failure["expected"] = expected
-            failures.append({**failure, "closed_form": str(closed), "built": str(built)})
+            failures.append({**failure, "closed_form": _digits(closed), "built": _digits(built)})
     return checked, failures
 
 
@@ -327,7 +332,7 @@ def _verify_bounds(limit: int) -> tuple[int, list[dict]]:
         w = build_witness(n)
         r = check_bounds(n, w)
         if w.tau != n:
-            failures.append({"n": n, "problem": "certification", "tau": str(w.tau)})
+            failures.append({"n": n, "problem": "certification", "tau": _digits(w.tau)})
             continue
         if r.exception_class is ExceptionClass.BOTH:
             if r.bound_third and r.vertex_bound_third:

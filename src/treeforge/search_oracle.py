@@ -11,8 +11,10 @@ classes with count <= n. A minimal witness also never has a bridge, since
 contracting a bridge keeps the count while shrinking the graph, but no
 level is filtered by it: deleting a vertex can create a bridge, so a
 bridgeless class may extend only classes with bridges. Both searches run
-one walk over the levels (_search), and an alpha query with n above
-Cayley's count budget**(budget-2) of K_budget builds no level.
+one walk over the levels (_search), which stops once no level left can
+hold n trees: level k holds at most k**(k-2) (Cayley), and comb(E, k-1)
+under an edge cap E. So beta_exact(1000, 12) builds no level (9.3 s of
+CPU before), and beta_exact(25, 12) stops before level 12 (8.0 -> 5.5 s).
 
 verify_no_smaller_graph mechanizes the subdivision argument. Any connected
 simple graph with count n >= 3 reduces (by deleting pendant vertices,
@@ -427,24 +429,27 @@ def _search(n: int, kind: SearchKind, budget: int, edge_cap: int | None) -> Sear
     """The walk of alpha_exact and beta_exact over levels 1..budget, under
     n's count tier and edge_cap. A level's first graph with n trees has the
     fewest edges of its hits (_level sorts by edge count), and is kept when
-    it has fewer than the best so far; alpha stops at its first hit. An
-    alpha query with n above budget**(budget-2) builds no level: every
-    simple graph on k vertices lies inside K_k, with k**(k-2) trees."""
+    it has fewer than the best so far; alpha stops at its first hit. Both
+    stop before level k if no level j = k..budget can hold n trees: a graph
+    on j vertices lies inside K_j, with j**(j-2) trees, and with at most
+    E = edge_cap edges has at most comb(E, j-1), one per j-1 of them."""
     cap = _cap_tier(n)
     levels: dict[str, int] = {}
     best: Multigraph | None = None
     alpha = kind is SearchKind.ALPHA
-    if not alpha or n <= budget ** max(budget - 2, 0):
-        for k in range(1, budget + 1):
-            level = _level(k, cap, edge_cap)
-            levels[str(k)] = len(level)
-            for g, t in level:
-                if t == n:
-                    if best is None or g.edge_count < best.edge_count:
-                        best = g
-                    break
-            if alpha and best is not None:
+    room = [min(j ** max(j - 2, 0), comb(edge_cap, j - 1) if edge_cap else inf) for j in range(1, budget + 1)]
+    for k in range(1, budget + 1):
+        if n > max(room[k - 1 :]):
+            break
+        level = _level(k, cap, edge_cap)
+        levels[str(k)] = len(level)
+        for g, t in level:
+            if t == n:
+                if best is None or g.edge_count < best.edge_count:
+                    best = g
                 break
+        if alpha and best is not None:
+            break
     space = {
         "kind": kind.value,
         "budget": budget,
@@ -484,8 +489,8 @@ def beta_exact(n: int, max_edges: int) -> SearchResult:
     up to max_edges vertices exhaust every candidate.
 
     max_edges may not exceed BETA_EDGE_CEILING: beta_exact(13, E) for
-    E = 9, 10, 11, 12 took 0.13, 0.48, 1.9 and 7.6 s of CPU time on a
-    2-vCPU Xeon VM (CPython 3.11, cold levels), about 4x per extra edge.
+    E = 9, 10, 11, 12 took 0.075, 0.28, 1.3 and 6.4 s of CPU time (least
+    of 3 cold runs, 2-vCPU Xeon VM, CPython 3.11.7), about 4x per edge.
     """
     if n < 3:
         raise GraphError("beta is defined for n >= 3")

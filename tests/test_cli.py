@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,23 @@ def test_count_spec_at_the_ceiling(capsys, monkeypatch):
     assert code == 0 and out.strip() == "48"
     code, out, err = run(capsys, "count", "--spec", "theta:4,4,5")
     assert code == 2 and out == "" and "12 vertices" in err
+
+
+@pytest.mark.parametrize("flag", [None, "--json"])
+def test_count_past_the_int_str_digit_limit(capsys, flag):
+    # 20000 * 2**19999 has 6,025 digits, past the 4,300 that str(int) writes
+    argv = ["count", "--spec", "gen:" + "+".join(["2"] * 20000)] + ([flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    digits = json.loads(out)["outputs"]["tau"] if flag else out.strip()
+    assert len(digits) == 6025 and Decimal(digits) == 20000 * 2**19999
+
+
+def test_count_field_past_the_int_str_digit_limit_exit_2(tmp_path, capsys):
+    f = tmp_path / "long_field.txt"
+    f.write_text("p 3\n0 " + "1" * 5000 + "\n")
+    code, out, err = run(capsys, "count", str(f))
+    assert code == 2 and out == "" and "line 2" in err
 
 
 def test_construct_30(capsys):

@@ -406,6 +406,9 @@ class TestAlphaBeta:
             assert tau_matrix(res.witness.graph) == n
 
     def test_shared_walk_equals_reference(self):
+        # The walk stops before the first level k from which no level j up
+        # to the budget can hold n trees: j**(j-2) (Cayley) bounds level j,
+        # and so does comb(E, j-1) under beta's edge cap E.
         for n in range(3, 80):
             for kind, search, budgets in (
                 ("alpha", alpha_exact, range(1, 9)),
@@ -413,12 +416,19 @@ class TestAlphaBeta:
             ):
                 for b in budgets:
                     got, ref = search(n, b), reference_search(n, kind, b)
-                    if kind == "alpha" and n > b ** max(b - 2, 0):
-                        # stopped at Cayley's bound: nothing walked, same answer
-                        assert got.value is ref.value is None and got.witness is None
-                        assert got.search_space == {**ref.search_space, "classes_per_level": {}}
-                    else:
-                        assert got == ref, (kind, n, b)
+                    room = [j ** max(j - 2, 0) for j in range(1, b + 1)]
+                    if kind == "beta":
+                        room = [min(r, comb(b, j)) for j, r in enumerate(room)]
+                    stop = next((k for k in range(1, b + 1) if n > max(room[k - 1 :])), b + 1)
+                    # alpha's bound is b**(b-2) at every level
+                    assert kind == "beta" or stop in (1, b + 1)
+                    assert (got.value, got.witness) == (ref.value, ref.witness), (kind, n, b)
+                    walked = {
+                        key: c
+                        for key, c in ref.search_space["classes_per_level"].items()
+                        if int(key) < stop
+                    }
+                    assert got.search_space == {**ref.search_space, "classes_per_level": walked}
 
     def test_cayley_stop(self):
         # K_8 has 8**6 = 262144 trees, the most of any graph on 8 vertices
@@ -427,6 +437,25 @@ class TestAlphaBeta:
         res = alpha_exact(262145, 8)
         assert res.value is None and res.search_space["classes_per_level"] == {}
         assert not search_oracle._levels and not search_oracle._verdicts
+
+    def test_edge_cap_stop(self):
+        # with at most E edges a graph on k vertices has at most comb(E, k-1)
+        # trees: 36 and 9 on levels 8 and 9 at E = 9, and at most
+        # comb(12, 6) = 924 on any level at E = 12
+        clear_level_cache()
+        res = beta_exact(57, 9)
+        assert list(res.search_space["classes_per_level"]) == [str(k) for k in range(1, 8)]
+        assert max(search_oracle._levels) == 7
+        clear_level_cache()
+        res = beta_exact(1000, 12)
+        assert res.value is None and res.search_space["classes_per_level"] == {}
+        assert not search_oracle._levels and not search_oracle._verdicts
+
+    def test_level_counts_within_the_stop_bound(self):
+        for e in range(1, 10):
+            for k in range(1, 8):
+                room = min(k ** max(k - 2, 0), comb(e, k - 1))
+                assert all(t <= room for _, t in _level(k, None, e)), (k, e)
 
     def test_alpha_beta_ordering_small(self):
         # alpha < beta except at fixed points, where both equal n
