@@ -430,17 +430,17 @@ def _search(n: int, kind: SearchKind, budget: int, edge_cap: int | None) -> Sear
     n's count tier and edge_cap. A level's first graph with n trees has the
     fewest edges of its hits (_level sorts by edge count), and is kept when
     it has fewer than the best so far; alpha stops at its first hit. Both
-    stop before level k if no level j = k..budget can hold n trees: a graph
-    on j vertices lies inside K_j, with j**(j-2) trees, and with at most
-    E = edge_cap edges has at most comb(E, j-1), one per j-1 of them."""
+    walk only up to the last level j <= budget that can hold n trees: a
+    graph on j vertices lies inside K_j, with j**(j-2) trees, and with at
+    most E = edge_cap edges has at most comb(E, j-1), one per j-1 of them."""
     cap = _cap_tier(n)
     levels: dict[str, int] = {}
     best: Multigraph | None = None
     alpha = kind is SearchKind.ALPHA
-    room = [min(j ** max(j - 2, 0), comb(edge_cap, j - 1) if edge_cap else inf) for j in range(1, budget + 1)]
-    for k in range(1, budget + 1):
-        if n > max(room[k - 1 :]):
-            break
+    top = budget  # the last level that can hold n trees
+    while top and n > min(top ** max(top - 2, 0), inf if edge_cap is None else comb(edge_cap, top - 1)):
+        top -= 1
+    for k in range(1, top + 1):
         level = _level(k, cap, edge_cap)
         levels[str(k)] = len(level)
         for g, t in level:
