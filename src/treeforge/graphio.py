@@ -58,6 +58,14 @@ def _first_line(lines: list[str]) -> tuple[int, str] | None:
     return None
 
 
+def _quote(text: str) -> str:
+    """repr(text), cut after 60 characters with the length given, so a
+    message quoting a line or field stays short however long it is."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def _ascii_int(field: str) -> int:
     """int(field), refusing the '_' separators and non-ASCII digits that
     int() takes."""
@@ -78,7 +86,7 @@ def _edge_list(text: str, lines: list[str], first: int, header: str) -> Multigra
     try:
         n = to_int(fields[1])
     except ValueError:
-        raise ParseError(f"bad vertex count {fields[1]!r}", lineno) from None
+        raise ParseError(f"bad vertex count {_quote(fields[1])}", lineno) from None
     if n < 0:
         raise ParseError("vertex count must be nonnegative", lineno)
 
@@ -101,7 +109,7 @@ def _edge_list(text: str, lines: list[str], first: int, header: str) -> Multigra
                 else:
                     entry = to_int(fields[0]), to_int(fields[1]), to_int(fields[2])
             except ValueError:
-                raise ParseError(f"non-integer field in {raw.strip()!r}", lineno) from None
+                raise ParseError(f"non-integer field in {_quote(raw.strip())}", lineno) from None
             yield entry
 
     try:

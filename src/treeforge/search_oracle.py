@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, inf
 from typing import Iterable, Iterator, Sequence
 
@@ -80,7 +80,7 @@ from .graph_core import (
     subdivision,
 )
 from .minimal_builder import Strategy, Witness
-from .tree_count import TreeCount, eval_terms, tau_matrix, tree_terms
+from .tree_count import TreeCount, tau_matrix, tau_paths, tree_terms
 
 DEFAULT_VERTEX_CEILING = 9
 #: Largest max_edges that beta_exact accepts (see its docstring).
@@ -88,8 +88,10 @@ BETA_EDGE_CEILING = 12
 #: Largest cyclomatic number whose skeletons verify_no_smaller_graph
 #: enumerates. Level 5 is first needed at n = 40 and its least count is 75,
 #: so it is read only for that count up to n = 74: every witness there
-#: comes from levels 2-4. Its table (_sweeps(5), 1,076 skeletons) is built
-#: once per process, in under 1 s (CPython 3.11, 2-vCPU VM).
+#: comes from levels 2-4, and no level-5 skeleton lists its tree terms. Its
+#: table (_sweeps(5), 1,076 skeletons) is built once per process: 0.26 s to
+#: enumerate the skeletons and 0.02 s for their least counts (CPU time,
+#: CPython 3.11, 2-vCPU VM).
 SKELETON_CEILING = 5
 #: The most vertices, summed over the witnesses, that verify_no_smaller_graph
 #: lists, the n-cycle included. The list grows with the budget: at n = 27,
@@ -690,13 +692,23 @@ class _Sweep:
     is in no parallel class and every length >= 1 is admissible.
 
     Built once per skeleton and process, in the level table ``_sweeps``,
-    so every query reuses the terms, the slot split, the minimal lengths,
-    the least count and vertex total (``min_tau``, ``min_vertices``) and,
-    once some query has hits, the slot map of each automorphism: the
-    automorphisms are those of the skeleton's residue that keep its loop counts, closed by
-    graph_core.automorphisms from the ones canonical_form's search meets.
-    Missing ones could only keep duplicate witnesses, never drop a class,
-    so no verdict depends on them.
+    so every query reuses the minimal lengths, the least count and vertex
+    total (``min_tau``, ``min_vertices``), the transcript's texts for the
+    skeleton and its least count (``text``, ``min_tau_text``), the terms
+    once listed and, once some query has hits, the slot map of each
+    automorphism: the automorphisms are those of the skeleton's residue
+    that keep its loop counts, closed by graph_core.automorphisms from the
+    ones canonical_form's search meets. Missing ones could only keep
+    duplicate witnesses, never drop a class, so no verdict depends on them.
+
+    Building the table lists no spanning tree: ``tau``, and with it
+    ``min_tau``, is one weighted count of the skeleton
+    (tree_count.tau_paths). The terms,
+    and the slot split and vertex costs read off them (``cycle_idx``,
+    ``bridge_idx``, ``suffix_extra``), are listed the first time
+    find_assignments needs them, so only a skeleton that some query sweeps
+    pays for them: no level-4 skeleton (least count 40) for n <= 39, and
+    no level-5 one (75) for n <= 74.
 
     Witnesses are deduplicated without canonical forms (``orbit_least``).
     Suppressing the degree-2 vertices of a subdivision is canonical, so
@@ -714,7 +726,6 @@ class _Sweep:
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
         self.slots = list(skeleton.slots)
-        self.terms = tree_terms(skeleton)
         # cell -> indices of its slots
         self.cells: dict[tuple[int, int], list[int]] = {}
         for i, cell in enumerate(self.slots):
@@ -722,16 +733,9 @@ class _Sweep:
         self.parallel_classes = {
             cell: idxs for cell, idxs in self.cells.items() if cell[0] != cell[1] and len(idxs) > 1
         }
-        in_terms = {i for term in self.terms for i in term}
-        self.cycle_idx = [i for i in range(len(self.slots)) if i in in_terms]
-        self.bridge_idx = [i for i in range(len(self.slots)) if i not in in_terms]
         # floors bound every admissible length from below, also where a
-        # parallel class needs 2; suffix_extra[j] is the vertex cost of
-        # cycle slots j, j+1, ... at their floors
+        # parallel class needs 2
         self.floors = [3 if a == b else 1 for a, b in self.slots]
-        self.suffix_extra = [0] * (len(self.cycle_idx) + 1)
-        for j in range(len(self.cycle_idx) - 1, -1, -1):
-            self.suffix_extra[j] = self.suffix_extra[j + 1] + self.floors[self.cycle_idx[j]] - 1
         # mins is the componentwise least admissible (simple) assignment:
         # the first slot of a parallel class may have length 1, the others 2
         self.mins = list(self.floors)
@@ -740,10 +744,37 @@ class _Sweep:
                 self.mins[i] = 2
         self.min_tau = self.tau(self.mins)
         self.min_vertices = skeleton.vertex_count + sum(l - 1 for l in self.mins)
+        # the transcript's text for the skeleton and its least count
+        self.text = skeleton.describe()
+        self.min_tau_text = str(self.min_tau)
         self._maps: list[list[int]] | None = None
 
     def tau(self, lengths: Sequence[int]) -> TreeCount:
-        return eval_terms(self.terms, lengths)
+        return tau_paths(self.skeleton, lengths)
+
+    @cached_property
+    def terms(self) -> list[tuple[int, ...]]:
+        return tree_terms(self.skeleton)
+
+    @cached_property
+    def cycle_idx(self) -> list[int]:
+        in_terms = {i for term in self.terms for i in term}
+        return [i for i in range(len(self.slots)) if i in in_terms]
+
+    @cached_property
+    def bridge_idx(self) -> list[int]:
+        cycle = set(self.cycle_idx)
+        return [i for i in range(len(self.slots)) if i not in cycle]
+
+    @cached_property
+    def suffix_extra(self) -> list[int]:
+        """Entry j is the vertex cost of cycle slots j, j+1, ... at their
+        floors."""
+        cyc = self.cycle_idx
+        out = [0] * (len(cyc) + 1)
+        for j in range(len(cyc) - 1, -1, -1):
+            out[j] = out[j + 1] + self.floors[cyc[j]] - 1
+        return out
 
     def _slot_maps(self) -> list[list[int]]:
         """Per automorphism sigma, where each slot's image length comes
@@ -993,9 +1024,9 @@ def verify_no_smaller_graph(n: int, vertex_budget: int) -> FixedPointReport:
         entries = []
         for sweep in sweeps:
             entry = {
-                "skeleton": sweep.skeleton.describe(),
+                "skeleton": sweep.text,
                 "cyclomatic": c,
-                "min_tau": str(sweep.min_tau),
+                "min_tau": sweep.min_tau_text,
                 "min_vertices": sweep.min_vertices,
                 "status": "swept",
                 "assignments_tried": 0,

@@ -62,13 +62,19 @@ product; a single block recurses on one edge e as
 tau = t_e tau(G / e) + f_e tau(G - e). So trees, cycles, thetas and
 bouquets of cycles never recurse, and only the reduced core does.
 
-tau_subdivision evaluates the count for a skeleton whose edges are blown
-up into paths: sum over spanning trees T of the skeleton of the product of
-the lengths of the slots outside T. The terms come from tree_terms, the one
-listing of spanning trees over slots (loops allowed, and in every term),
-which the skeleton sweep of search_oracle shares; eval_terms sums their
-products. Both take a graph_core.Skeleton, the type graph_core.subdivision
-builds from, with lengths given as a sequence in slot order.
+A skeleton whose edges are blown up into paths has as count the sum over
+spanning trees T of the skeleton of the product of the lengths of the
+slots outside T, and two functions evaluate it. tau_paths is one weighted
+count of the skeleton: a slot of length l is the pair (1, l), loops factor
+out, and the rest runs through tau_matrix's reduction and elimination. It
+gives the skeleton sweep of search_oracle its least counts. tau_subdivision
+lists the terms instead, with tree_terms, the one listing of spanning trees
+over slots (loops allowed, and in every term), and sums their products
+with eval_terms; it shares no code with tau_paths or tau_matrix, so it
+checks both. The sweep lists a skeleton's terms only once it sweeps it,
+and reads its linear forms off them. All take a graph_core.Skeleton, the
+type graph_core.subdivision builds from, with lengths given as a sequence
+in slot order.
 
 The two general-purpose methods are independent implementations and are
 cross-checked against each other in the test suite.
@@ -126,6 +132,14 @@ def tau_matrix(g: Multigraph) -> TreeCount:
     adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in range(n)}
     for u, v, m in g.edges:
         adj[u][v] = adj[v][u] = (1, 1) if m == 1 else (m, 1)
+    return _weighted_count(adj)
+
+
+def _weighted_count(adj: dict) -> TreeCount:
+    """The sum over spanning trees T of prod_{e in T} t_e * prod_{e not in T}
+    f_e of the graph whose pairs adj weights (t, f): Kron reduction
+    (_kron_reduce), then Bareiss on the core left (_core_cofactor). adj is
+    consumed. tau_matrix and tau_paths count through it."""
     factor = _kron_reduce(adj)
     if not factor or len(adj) == 1:
         return factor
@@ -479,6 +493,29 @@ def tau_dc(g: Multigraph) -> TreeCount:
 
 # ---------------------------------------------------------------------------
 # subdivisions
+
+
+def tau_paths(skeleton: Skeleton, lengths: Sequence[int]) -> TreeCount:
+    """Spanning trees of the graph where slot i becomes a path of lengths[i],
+    as one weighted count of the skeleton itself.
+
+    A path of length l between two vertices is, in the Laplacian, one pair
+    of conductance 1/l (Kron reduction of its interior), so the slot enters
+    as (t, f) = (1, l) and parallel slots merge as tau_matrix merges pairs:
+    the count is the sum over spanning trees T of the skeleton of the
+    product of the lengths of the slots outside T. A loop lies in no tree
+    and multiplies the count by its length. The lengths are not checked:
+    callers pass admissible ones.
+    """
+    adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in range(skeleton.vertex_count)}
+    loops = 1
+    for (u, v), l in zip(skeleton.slots, lengths):
+        if u == v:
+            loops *= l
+            continue
+        old = adj[u].get(v)
+        adj[u][v] = adj[v][u] = (1, l) if old is None else (old[0] * l + old[1], old[1] * l)
+    return loops * _weighted_count(adj)
 
 
 def tree_terms(skeleton: Skeleton) -> list[tuple[int, ...]]:

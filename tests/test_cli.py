@@ -182,6 +182,17 @@ def test_count_field_past_the_int_str_digit_limit_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["p 3\n0 " + "1" * 5000 + "\n", "p " + "1" * 5000 + "\n0 1\n"], ids=["edge line", "header"]
+)
+def test_count_long_parse_error_is_one_short_line(tmp_path, capsys, text):
+    f = tmp_path / "long.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "count", str(f))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("characters)\n") and len(err) < 150
+
+
 def test_construct_30(capsys):
     code, out, _ = run(capsys, "construct", "30", "--json")
     doc = json.loads(out)

@@ -122,6 +122,26 @@ def test_edge_list_error_contract(text, line, message):
         assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p 3\n0 " + "x" * 58 + "\n", 2, "non-integer field in '0 " + "x" * 58 + "'"),
+        ("p 3\n0 " + "x" * 59 + "\n", 2, "non-integer field in '0 " + "x" * 58 + "'... (61 characters)"),
+        ("p 3\n0 " + "1" * 5000 + "\n", 2, "non-integer field in '0 " + "1" * 58 + "'... (5002 characters)"),
+        ("p " + "1" * 5000 + "\n0 1\n", 1, "bad vertex count '" + "1" * 60 + "'... (5000 characters)"),
+        ("p " + "\u0663" * 61 + "\n", 1, "bad vertex count '" + "\u0663" * 60 + "'... (61 characters)"),
+    ],
+    ids=["60 characters", "61 characters", "long edge line", "long header field", "non-ASCII field"],
+)
+def test_long_quotes_are_cut(text, line, message):
+    # a quoted line or field keeps its first 60 characters and gives its length
+    for read in (parse_edge_list, load_graph):
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
+
+
 def test_edge_list_line_ends_tabs_and_comments():
     text = "# a graph\r\np 4 # four\r\n\r\n0\t1\r\n 1 2 2 # doubled\r\n\t2  3\t#\r\n1 0 3"
     want = Multigraph(4, ((0, 1, 4), (1, 2, 2), (2, 3, 1)))

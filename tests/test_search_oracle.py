@@ -43,7 +43,7 @@ from treeforge.search_oracle import (
     enumerate_skeletons,
     verify_no_smaller_graph,
 )
-from treeforge.tree_count import tau_matrix
+from treeforge.tree_count import tau_matrix, tree_terms
 
 import oracles
 from oracles import (
@@ -1063,6 +1063,36 @@ class TestVerifier:
         assert digest.hexdigest() == (
             "6aaed86a61dfbb1279d50b9c1c414d1b1dfa06fa8166c609247eac9efc42a708"
         )
+
+    def test_terms_only_for_swept_skeletons(self, monkeypatch):
+        # the tables list a skeleton's tree terms only when a query sweeps
+        # it, and once: no level-4 skeleton (least count 40) lists them for
+        # n <= 39, and no level-5 one (75) for n = 47, which sweeps level 4
+        listed = []
+
+        def listing(skeleton):
+            listed.append(skeleton)
+            return tree_terms(skeleton)
+
+        def with_terms(c):
+            return [sweep.skeleton for sweep in _sweeps(c)[0] if "terms" in vars(sweep)]
+
+        monkeypatch.setattr(search_oracle, "tree_terms", listing)
+        _sweeps.cache_clear()
+        swept = set()
+        for queries, below_40 in ((((38, 76), (13, 30)), True), (((47, 47),), False)):
+            for _ in range(2):
+                for n, budget in queries:
+                    for level in verify_no_smaller_graph(n, budget).to_dict()["levels"]:
+                        sweeps = _sweeps(level["cyclomatic"])[0]
+                        for sweep, entry in zip(sweeps, level["skeletons"]):
+                            if entry["status"] == "swept":
+                                swept.add(sweep.skeleton)
+            if below_40:
+                assert with_terms(4) == []
+            assert with_terms(5) == []
+        assert len(listed) == len(set(listed)) and set(listed) == swept
+        assert sum(s.cyclomatic == 4 for s in swept) > 0 and len(swept) > 10
 
     def test_skeleton_ceiling_stops_at_75(self):
         report = verify_no_smaller_graph(74, 74)

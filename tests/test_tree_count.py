@@ -18,7 +18,7 @@ from treeforge.graph_core import (
 from treeforge import tree_count
 from treeforge.minimal_builder import build_witness
 from treeforge.search_oracle import _Sweep, enumerate_skeletons
-from treeforge.tree_count import tau_dc, tau_matrix, tau_subdivision
+from treeforge.tree_count import eval_terms, tau_dc, tau_matrix, tau_paths, tau_subdivision, tree_terms
 
 from oracles import (
     P61,
@@ -672,14 +672,54 @@ class TestTauSubdivision:
             sk = Skeleton(2, ((0, 1),) * len(lengths))
             assert tau_subdivision(sk, lengths) == tau_generalized_theta(lengths)
 
+
+    def test_least_counts_are_the_term_sums(self):
+        # the weighted count behind every sweep's min_tau equals the sum of
+        # the tree terms on every skeleton of levels 2-5
+        for c in (2, 3, 4, 5):
+            for sk in enumerate_skeletons(c):
+                sweep = _Sweep(sk)
+                assert sweep.min_tau == eval_terms(tree_terms(sk), sweep.mins), sk.describe()
+
     def test_enumerated_skeletons_match_matrix(self, rng):
-        # every skeleton of levels 2-4, at admissible (simple) lengths
+        # every skeleton of levels 2-4 at random admissible (simple)
+        # lengths: loops >= 3, and in each parallel class at most one
+        # slot, any of them, of length 1
+        seen = {"loops": 0, "parallel": 0, "bridges": 0, "ones": 0}
         for c in (2, 3, 4):
             for sk in enumerate_skeletons(c):
                 sweep = _Sweep(sk)
-                lengths = [l + rng.randint(0, 3) for l in sweep.mins]
-                assert tau_subdivision(sk, lengths) == sweep.tau(lengths)
-                assert tau_subdivision(sk, lengths) == tau_matrix(subdivision(sk, lengths))
+                for _ in range(3):
+                    lengths = [f + rng.randint(0, 4) for f in sweep.floors]
+                    for idxs in sweep.parallel_classes.values():
+                        ones = [i for i in idxs if lengths[i] == 1]
+                        for i in ones[1:] if rng.random() < 0.5 else ones[:-1]:
+                            lengths[i] = rng.randint(2, 5)
+                        seen["ones"] += bool(ones)
+                    want = tau_subdivision(sk, lengths)
+                    assert tau_paths(sk, lengths) == want == sweep.tau(lengths), (sk.describe(), lengths)
+                    assert tau_matrix(subdivision(sk, lengths)) == want
+                seen["loops"] += any(u == v for u, v in sk.slots)
+                seen["parallel"] += bool(sweep.parallel_classes)
+                seen["bridges"] += bool(sweep.bridge_idx)
+        assert min(seen.values()) > 10, seen
+
+    def test_tau_subdivision_is_independent_of_the_matrix(self, rng, monkeypatch):
+        # with tau_matrix, tau_paths and their reduction and elimination all
+        # raising, tau_subdivision still counts
+        cases = []
+        for sk in enumerate_skeletons(3):
+            lengths = [l + rng.randint(0, 3) for l in _Sweep(sk).mins]
+            cases.append((sk, lengths, tau_matrix(subdivision(sk, lengths))))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tau_subdivision used code it is meant to check")
+
+        for name in ("tau_matrix", "tau_paths", "_weighted_count", "_kron_reduce", "_core_cofactor", "_dense_bareiss"):
+            monkeypatch.setattr(tree_count, name, forbidden)
+        assert all(tau_subdivision(sk, lengths) == want for sk, lengths, want in cases)
+        with pytest.raises(AssertionError):
+            tau_paths(THETA, [1, 2, 3])
 
     def test_wrong_length_count_errors(self):
         with pytest.raises(GraphError, match="2 lengths for 3 edge slots"):
