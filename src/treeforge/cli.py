@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal  # str(Decimal(n)) is exact past str(n)'s 4,300-digit limit
 
 from . import __version__
@@ -195,6 +194,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     jobs = min(args.jobs, os.cpu_count() or 1)
     ns = range(args.lo, args.hi + 1)
     if jobs > 1:
+        # imported here: multiprocessing would load with every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, ns, chunksize=64))
     else:

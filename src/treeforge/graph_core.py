@@ -98,6 +98,15 @@ class Multigraph:
         return f"Multigraph({self.vertex_count}, {list(self.edges)!r})"
 
 
+def _clip(text: str, form=str) -> str:
+    """form(text), cut after 60 characters with the length given, so a
+    message quoting a line, a field or a number stays short however long
+    it is."""
+    if len(text) <= 60:
+        return form(text)
+    return f"{form(text[:60])}... ({len(text)} characters)"
+
+
 def edge_triples(
     vertex_count: int, entries: Iterable[Sequence[int]]
 ) -> tuple[tuple[int, int, int], ...]:
@@ -107,7 +116,8 @@ def edge_triples(
 
     Each entry is checked as it is read, so a caller that produces entries
     lazily knows which one failed: a loop, a label outside
-    0..vertex_count-1 or a multiplicity below 1 raises GraphError. A pair
+    0..vertex_count-1 or a multiplicity below 1 raises GraphError, whose
+    message cuts a number of more than 60 characters (_clip). A pair
     is filed under the integer u * vertex_count + v, whose order is the
     order of (u, v), so the sort compares integers, not tuples. The triples
     share one int object per label, so a large graph holds one per vertex.
@@ -122,11 +132,13 @@ def edge_triples(
         else:
             u, v, m = entry
         if u == v:
-            raise GraphError(f"loop at vertex {u} not allowed")
+            raise GraphError(f"loop at vertex {_clip(str(u))} not allowed")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")
+            raise GraphError(
+                f"edge ({_clip(str(u))},{_clip(str(v))}) out of range for {_clip(str(n))} vertices"
+            )
         if m < 1:
-            raise GraphError(f"multiplicity {m} must be >= 1")
+            raise GraphError(f"multiplicity {_clip(str(m))} must be >= 1")
         key = u * n + v if u < v else v * n + u
         acc[key] = get(key, 0) + m
     # a graph with more labels than its pairs can touch reads fresh ints
@@ -304,7 +316,7 @@ def subdivision(skeleton: Skeleton, lengths: Sequence[int]) -> Multigraph:
     for (u, v), k in zip(skeleton.slots, lengths):
         if k == 1:
             if u == v:
-                raise GraphError(f"loop at vertex {u} not allowed")
+                raise GraphError(f"loop at vertex {_clip(str(u))} not allowed")
             first = v
         else:
             first, last = nxt, nxt + k - 2

@@ -14,7 +14,7 @@ occur on read.
 
 from __future__ import annotations
 
-from .graph_core import GraphError, Multigraph, edge_triples, is_simple
+from .graph_core import GraphError, Multigraph, _clip, edge_triples, is_simple
 
 
 class ParseError(ValueError):
@@ -59,11 +59,8 @@ def _first_line(lines: list[str]) -> tuple[int, str] | None:
 
 
 def _quote(text: str) -> str:
-    """repr(text), cut after 60 characters with the length given, so a
-    message quoting a line or field stays short however long it is."""
-    if len(text) <= 60:
-        return repr(text)
-    return f"{text[:60]!r}... ({len(text)} characters)"
+    """repr(text), cut as graph_core._clip cuts it."""
+    return _clip(text, repr)
 
 
 def _ascii_int(field: str) -> int:

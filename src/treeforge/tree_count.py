@@ -16,35 +16,40 @@ own code, in Laplacian terms: it calls none of tau_dc's reductions or block
 split, so the two methods stay independent checks of each other.
 
 The core left has minimum degree 3. Its least label is deleted as the root,
-its rows are P times its Laplacian, P the product of every f in the core,
-and the elimination is fraction-free (Bareiss) with P as the sentinel
-pivot. By Sylvester's identity every entry is then P times a minor of the
-Laplacian, and by the all-minors matrix-tree theorem (Chaiken, 1982) such a
-minor is a signed sum over spanning forests of products of t/f, so every
-entry is an integer, and the last pivot is the core's count, the sum over
-spanning trees T of prod_{e in T} t_e * prod_{e not in T} f_e. Pivots are
-chosen symmetrically by exact minimum degree: the next pivot is always a
-live row with the fewest nonzero entries. Ties follow chains: after pivot
-p, the next pivot is the touched neighbour of p with the smallest new row,
-if that row is no longer than p's was (every untouched row is at least
-that long); otherwise it is the (row size, label) minimum of a lazy heap. A
-row is pushed again only when its size changes, and stale heap entries are
-skipped when popped. Each entry of the symmetric matrix is stored once,
-with the step it was last brought up to. Eliminating a pivot with d live
-neighbours updates each unordered pair of them, diagonal included, once,
-and touches no other entry: an entry outside the pivot's neighbourhood
-only picks up the factor pivot/previous_pivot, which telescopes, so it is
-rescaled when it is next read. That is d(d + 1)/2 updates and at most
-(d + 1)(d + 2)/2 rescalings, each one multiplication and one exact
-division of big integers, plus O(d log V) heap work. In a connected core
-no entry becomes 0 (the sign argument is in _core_cofactor). When the
-smallest live row spans every live row, the live block is complete; from
-then on the elimination runs densely, as Bareiss on the upper triangle of
-a list of lists, if the block has at least DENSE_TAIL_MIN rows (on smaller
-ones the dict elimination is faster). Graphs with fill-in (grids, random
-graphs) pay about f^3 big-integer steps for a final complete front of f
-rows, and dense graphs O(V^3), on integers no larger than P times the
-minors of the Laplacian.
+P is the product of every f in the core, and the count, the sum over
+spanning trees T of prod_{e in T} t_e * prod_{e not in T} f_e, is P det L,
+L the Laplacian without the root's row and column. By the all-minors matrix-tree
+theorem (Chaiken, 1982) a minor of L is a signed sum over spanning forests
+of products of t/f, so P times a minor is an integer. The elimination is
+multifrontal (Duff & Reid, 1983) and exact. Each element, a connected set
+of eliminated vertices, keeps delta = P det L over its vertices and an
+integer block over its boundary, the live vertices joined to it: P delta
+times minus its contribution to the Schur complement. Both are P times
+minors of L or products of two such, so a number of an element carries the
+determinant of its own region only, not of every region eliminated so far,
+as one fraction-free (Bareiss) elimination of the whole matrix would.
+Eliminating a pivot merges it with the elements on it, over its front, and
+every division is exact (the recurrences are in _core_cofactor). An element
+whose boundary empties closes a component of the core without the root,
+and the count is the product of the closed deltas over P^(closed - 1).
+Pivots are chosen by exact minimum degree on the rows of the Schur
+complement: the next pivot is always a live row with the fewest nonzero
+entries. Ties follow chains: after pivot p, the next pivot is the touched
+neighbour of p with the smallest new row, if that row is no longer than
+p's was (every untouched row is at least that long); otherwise it is the
+(row size, label) minimum of a lazy heap. A row is pushed again only when
+its size changes, and stale heap entries are skipped when popped. A pivot
+whose element has d boundary vertices costs d(d + 1)/2 updates, each two
+multiplications and one exact division of big integers, plus O(d log V)
+heap work; merging several elements first adds the smaller blocks into the
+largest. When the smallest live row spans every live row, the live block is
+complete; if it has at least DENSE_TAIL_MIN rows, the elements on it are
+folded into it and it is finished by Bareiss on the upper triangle of a
+list of lists, whose entries are then exactly those of a whole-matrix
+elimination at that point. A core of at least DENSE_TAIL_MIN rows and at
+most twice its least degree goes to that dense elimination at once. Graphs
+with fill-in (grids, random graphs) pay about f^3 big-integer steps for a
+final complete front of f rows, and dense graphs O(V^3).
 
 tau_dc counts on (t, f)-weighted edges: an edge adds the factor t to a
 spanning tree that contains it and f to one that does not, so tau is the sum
@@ -83,7 +88,7 @@ cross-checked against each other in the test suite.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement as cwr
 from typing import Sequence
 
 from .graph_core import GraphError, Multigraph, Skeleton, _blocks, _check_lengths, _find
@@ -100,11 +105,12 @@ DC_CORE_CEILING = 1 << 17
 #: Kept for the benchmark's traced pass, which reads it: no table holds more.
 DEFAULT_MEMO_CAP = DC_CORE_CEILING
 
-#: Least size of a complete live block that tau_matrix finishes as a dense
-#: list-of-lists elimination. Smaller complete blocks, such as the last two
-#: or three rows of nearly every small graph, eliminate faster as dicts than
-#: they copy into lists.
-DENSE_TAIL_MIN = 5
+#: Least number of rows tau_matrix hands to the dense list-of-lists
+#: elimination: a complete live block, or a whole core of at most twice its
+#: least degree rows. The last one or two rows of a core eliminate faster as
+#: elements; a floor of 4 makes the small cores of an exhaustive search 15%
+#: slower, and one of 1 or 2 changes nothing measurable.
+DENSE_TAIL_MIN = 3
 
 
 def tau_matrix(g: Multigraph) -> TreeCount:
@@ -113,12 +119,12 @@ def tau_matrix(g: Multigraph) -> TreeCount:
     Disconnected graphs give 0, the one-vertex graph gives 1. First every
     vertex with at most two live neighbours is Kron-reduced in closed form
     (_kron_reduce), a chain of them at a time, so trees, cycles, thetas and
-    bouquets cost O(V) work and no elimination. The core left, of minimum degree 3, is
-    eliminated by Bareiss on P L, P the product of its f, with P as the
-    sentinel pivot (_core_cofactor): every entry is then P times a minor of
-    L, an integer, and the last pivot is the count. A core pays exact
-    minimum-degree Bareiss, about f^3 steps for a final complete front of f
-    rows. The reduction is tau_matrix's own code, in Laplacian terms: it
+    bouquets cost O(V) work and no elimination. The core left, of minimum
+    degree 3, has count P det L, P the product of its f, and is eliminated
+    exactly, front by front, in minimum-degree order (_core_cofactor): each
+    number an element keeps is P times a minor of L over its own region, or
+    a product of two such. A core pays about f^3 steps for a final complete
+    front of f rows. The reduction is tau_matrix's own code, in Laplacian terms: it
     calls none of tau_dc's reductions or block split, so the two methods
     stay independent checks of each other.
     """
@@ -138,7 +144,7 @@ def tau_matrix(g: Multigraph) -> TreeCount:
 def _weighted_count(adj: dict) -> TreeCount:
     """The sum over spanning trees T of prod_{e in T} t_e * prod_{e not in T}
     f_e of the graph whose pairs adj weights (t, f): Kron reduction
-    (_kron_reduce), then Bareiss on the core left (_core_cofactor). adj is
+    (_kron_reduce), then elimination of the core left (_core_cofactor). adj is
     consumed. tau_matrix and tau_paths count through it."""
     factor = _kron_reduce(adj)
     if not factor or len(adj) == 1:
@@ -234,57 +240,86 @@ def _kron_reduce(adj: dict) -> TreeCount:
 
 
 def _core_cofactor(adj: dict) -> TreeCount:
-    """Count of a reduced core: the last Bareiss pivot of P L, with the
-    least label as the deleted root.
+    """Count of a reduced core: P det L, L its Laplacian with the least
+    label deleted as the root and P the product of every f in it.
 
-    With the sentinel pivots[0] = P, the entries after k steps are the
-    order-(k + 1) minors of P L over P^k (Sylvester's identity), that is P
-    times minors of L. Each is an integer: a minor of L is a signed sum over
-    spanning forests of products of t/f (the all-minors matrix-tree
-    theorem, Chaiken 1982), and P holds every f once. Scaling by lcm(f)
-    instead would multiply every minor by a growing power of the lcm.
+    The elimination is multifrontal and exact. Each element e, a connected
+    set of eliminated vertices, keeps its boundary b (the live vertices
+    joined to it) and integers:
+      - delta_e = P det L[e, e];
+      - the block B_e = -P delta_e L_be L_ee^-1 L_eb over b, packed as the
+        upper triangle of b in boundary order, row by row; a vertex that
+        joins the boundary is put first.
+    Elements are disjoint and not joined to each other, so the Schur
+    complement of the live rows is S = L[live] + sum_e B_e / (P delta_e).
 
-    Each entry of the symmetric matrix is one [value, stage] cell, shared
-    by rows[i][j] and rows[j][i]: value is the entry after stage steps.
-    Step k + 1, with pivot p, changes only the entries (i, j) with i and j
-    both live neighbours of p: each unordered pair, diagonal included, is
-    updated once, as (x piv - f_i f_j) // pivots[k], after x, f_i and f_j
-    are brought to stage k. Any other entry x only picks up the factor
-    piv / pivots[k], so an entry left at stage s is read at stage k as
-    x pivots[k] // pivots[s], exactly: each step's factor kept it an
-    integer. A pivot with d live neighbours thus costs d (d + 1) / 2
-    updates and at most (d + 1) (d + 2) / 2 rescalings, each a
-    multiplication and an exact big-integer division, plus O(d log V)
-    heap work.
+    Eliminating p merges p with the r elements whose boundary holds p.
+    With D their product of deltas and N = sum_i (D / delta_i) B_i, put
+    G = D P L + N on p and its front, which is D P S there. The new
+    element has
+      - delta' = G_pp / P^r,
+      - B'_ij = (G_pp N_ij - G_ip G_jp) / (P^r D),
+    by the Schur complement taken through p. Both divisions are exact: a
+    minor of L is a signed sum over spanning forests of products of t/f
+    (the all-minors matrix-tree theorem, Chaiken 1982), so P times one is
+    an integer, and so are delta_e, P times a minor, and B_e, whose (i, j)
+    entry is P (P det L[e + i, e + j]) - (P L_ij) delta_e by Schur's
+    determinant identity, e + i and e + j being the rows and columns. An element's numbers thus carry its own region's
+    determinant only, not those of every region eliminated before it
+    (Duff & Reid, ACM TOMS 9, 1983, with integer blocks). With r = 0 the
+    element is p alone: delta' = P L_pp and B' = -(P L_ip)(P L_jp). A
+    pivot whose element has a boundary of d vertices costs d(d + 1)/2
+    updates, each two multiplications and one exact division; merging
+    r >= 2 elements first adds each smaller block into the largest,
+    scaled.
 
-    No update gives 0 in a connected core. Its rows, P L with the root
-    deleted, form a nonsingular M-matrix, and so does every Schur
-    complement of it: diagonal entries stay positive and off-diagonal ones
-    nonpositive, and a Bareiss entry is its Schur complement entry times a
-    positive leading minor. Between two neighbours of p the update is
-    x - f_i f_j / piv with x <= 0 and f_i, f_j < 0, so it is strictly
-    negative in any core, while the pivots so far are positive: fill-in
-    never cancels. Only a diagonal entry can reach 0, and only when its
-    Schur complement is singular, that is when the core is disconnected;
-    the count is then 0.
+    An element whose boundary empties is closed: its region is a whole
+    component of the core without the root, and det L is the product of
+    det L[e, e] over those components. So the count is the product of the
+    closed deltas over P^(closed - 1). A delta of 0 is a singular
+    principal minor of the positive semidefinite L, so the count is 0: a
+    connected set of vertices with an edge leaving it has a nonsingular
+    block, so only a component cut off from the root reaches it.
 
-    Pivots are exact minimum degree: the next pivot is the touched neighbour
-    of the last one with the smallest new row if that row is no longer than
-    the last pivot's, else the shortest row with the lowest label. The chain
-    rule still pays after Kron reduction removed path pieces: on long
-    minimum-degree-3 strips with shuffled labels, lowest-label ties open
-    many elimination fronts at once (prism C_2000 x K_2: 0.8 s with chains,
-    1.2 s without; CPython 3.11, 2-vCPU VM). Once the shortest live row
-    spans all live rows, at least DENSE_TAIL_MIN of them, the block is
-    finished densely.
+    Pivots are exact minimum degree on the rows of S: the next pivot is
+    the touched neighbour of the last one with the smallest new row if
+    that row is no longer than the last pivot's, else the shortest row
+    with the lowest label. On strips with shuffled labels, lowest-label
+    ties open many small elements. The shuffled 3 x 400 grid takes 20 ms
+    with chains and 23 ms without, but the prism C_2000 x K_2 0.40 s with
+    chains and 0.30 s without, since its many elements merge like a
+    balanced tree (CPython 3.11, 2-vCPU VM). Once the shortest live row spans
+    all live rows, at least DENSE_TAIL_MIN of them, the block is finished
+    densely (_dense_tail). A core of at least DENSE_TAIL_MIN rows and at
+    most twice its least degree (with minimum degree 3, at most 7
+    vertices) goes to _dense_bareiss at once, as P L with the sentinel P:
+    on so few rows the element bookkeeping costs more than it saves.
     """
     scale = 1
     for u, nb in adj.items():
         for v, (_, f) in nb.items():
             if u < v:
                 scale *= f
-    root = min(adj)
-    rows: dict[int, dict[int, list[int]]] = {v: {} for v in adj if v != root}
+    labels = sorted(adj)
+    root = labels[0]
+    m = len(labels) - 1
+    if DENSE_TAIL_MIN <= m <= 2 * min(map(len, adj.values())):
+        pos = {v: a for a, v in enumerate(labels, -1)}  # the root at -1
+        block = [[0] * m for _ in range(m)]
+        for u, nb in adj.items():
+            a = pos[u]
+            for v, (t, f) in nb.items():
+                if u < v:  # so a < b
+                    w = t * (scale // f)
+                    b = pos[v]
+                    block[b][b] += w
+                    if a >= 0:
+                        block[a][a] += w
+                        block[a][b] = -w
+        return _dense_bareiss(block, scale)
+
+    # rows[v]: the entries of P L between v and its live neighbours
+    rows: dict[int, dict[int, int]] = {v: {} for v in labels[1:]}
     diagonal = dict.fromkeys(rows, 0)
     for u, nb in adj.items():
         for v, (t, f) in nb.items():
@@ -293,73 +328,170 @@ def _core_cofactor(adj: dict) -> TreeCount:
                 diagonal[v] += w
                 if u != root:
                     diagonal[u] += w
-                    rows[u][v] = rows[v][u] = [-w, 0]
-    for v, row in rows.items():
-        row[v] = [diagonal[v], 0]
+                    rows[u][v] = rows[v][u] = -w
+    # reach[v]: the pattern of v's row of S, v included
+    reach = {v: {v, *row} for v, row in rows.items()}
+    # elements[key] = [delta, boundary, block], keyed by a label it holds;
+    # owner[v]: the keys of the elements whose boundary holds v
+    elements: dict[int, list] = {}
+    owner: dict[int, set[int]] = {v: set() for v in rows}
+    closed = 1  # the product of the deltas of the closed elements
+    closed_count = 0
 
-    pivots = [scale]  # pivots[k] is the Bareiss pivot of step k; pivots[0] is a sentinel
     # (row size, label) for every live row; entries go stale when a row is
     # eliminated or changes size and are skipped when popped
-    heap = [(len(row), v) for v, row in rows.items()]
+    heap = [(len(row), v) for v, row in reach.items()]
     heapify(heap)
     chained = None  # label of the neighbour the chain goes on to, if any
 
-    while rows:
+    while reach:
         if chained is None:
             while True:
                 size, p = heappop(heap)  # never empty: every live row has a current entry
-                prow = rows.get(p)
-                if prow is not None and len(prow) == size:
+                front = reach.get(p)
+                if front is not None and len(front) == size:
                     break
         else:  # size already holds the length of its row
             p = chained
-            prow = rows[p]
-        cur = len(pivots) - 1
-        prev = pivots[cur]
-        if size >= DENSE_TAIL_MIN and size == len(rows):
-            # every live row spans every live row: bring every entry to
-            # this stage and finish the complete block densely
-            order = list(rows)
-            block = []
-            for i in order:
-                cells = map(rows[i].__getitem__, order)
-                block.append([x if s == cur else x * prev // pivots[s] for x, s in cells])
-            return _dense_bareiss(block, prev)
-        del rows[p]
-        piv, s = prow.pop(p)  # prow now holds only the live neighbours of p
-        if s != cur:
-            piv = piv * prev // pivots[s]
-        # (label, entry (p, i) at this stage, row, row size with p)
-        front = []
-        for i, (f, s) in prow.items():
-            row = rows[i]
-            front.append((i, f if s == cur else f * prev // pivots[s], row, len(row)))
-            del row[p]
-        nxt = cur + 1
-        for a, (i, fi, ri, _) in enumerate(front):
-            for j, fj, rj, _ in front[a:]:
-                cell = ri.get(j)
-                if cell is None:  # fill-in, strictly negative
-                    ri[j] = rj[i] = [-fi * fj // prev, nxt]
-                    continue
-                x, s = cell
-                if s != cur:
-                    x = x * prev // pivots[s]
-                x = (x * piv - fi * fj) // prev
-                if not x:
-                    return 0  # a zero diagonal: the core is disconnected
-                cell[0] = x
-                cell[1] = nxt
+            front = reach[p]
+        if size >= DENSE_TAIL_MIN and size == len(reach):
+            count = _dense_tail(rows, diagonal, elements, scale)
+            return count * closed // scale**closed_count
+        del reach[p]
+        front.discard(p)
+        prow = rows.pop(p)
+        keys = owner.pop(p)
+        if not keys:  # p starts an element
+            key = p
+            bnd = list(prow)
+            g = list(prow.values())
+            delta = diagonal.pop(p)
+            elements[p] = [delta, bnd, [-ga * gb for ga, gb in cwr(g, 2)]]
+            for i in bnd:
+                owner[i].add(p)
+                del rows[i][p]
+        else:
+            if len(keys) == 1:
+                (key,) = keys
+            else:
+                key = max(keys, key=lambda k: len(elements[k][1]))
+                _merge(key, keys, elements, owner, front, p)
+            element = elements[key]
+            total, bnd, block = element  # total = D, block = N
+            # take p out: g is the column of G at p, in boundary order
+            n = len(bnd)
+            k = bnd.index(p)
+            g = [block[a * (2 * n - a - 1) // 2 + k] for a in range(k)]
+            start = k * (2 * n - k + 1) // 2
+            gpp = block[start]
+            g += block[start + 1 : start + n - k]
+            del block[start : start + n - k]
+            for a in range(k - 1, -1, -1):
+                del block[a * (2 * n - a - 1) // 2 + k]
+            del bnd[k]
+            if len(bnd) < len(front):  # neighbours of p new to the element
+                for i in front.difference(bnd):
+                    bnd.insert(0, i)
+                    g.insert(0, 0)
+                    block[:0] = [0] * len(bnd)
+                    owner[i].add(key)
+            for i, x in prow.items():
+                del rows[i][p]
+                g[bnd.index(i)] += total * x
+            gpp += total * diagonal.pop(p)
+            if not gpp:
+                return 0
+            lift = scale if len(keys) == 1 else scale ** len(keys)
+            den = lift * total
+            block[:] = [(gpp * x - ga * gb) // den for x, (ga, gb) in zip(block, cwr(g, 2))]
+            delta = element[0] = gpp // lift
         chained = None
-        for i, _, row, before in front:
+        if not front:
+            del elements[key]
+            closed *= delta
+            closed_count += 1
+            continue
+        for i in front:
+            row = reach[i]
+            before = len(row)
+            row |= front
+            row.discard(p)
             after = len(row)
             if after != before:
                 heappush(heap, (after, i))
             if after <= size:  # no longer than p's row, nor than the last pick
                 size = after
                 chained = i
-        pivots.append(piv)
-    return pivots[-1]
+    return closed // scale ** (closed_count - 1)
+
+
+def _merge(key: int, keys: set[int], elements: dict, owner: dict, front: set, p: int) -> None:
+    """Merge the elements under keys, whose boundaries hold p, into the one
+    under key. Its boundary grows to p and p's front, which hold all of
+    theirs, and it holds D, the product of their deltas, in place of its
+    delta, and the block N = sum (D / delta) B."""
+    element = elements[key]
+    others = [(k, elements.pop(k)) for k in keys if k != key]
+    total = element[0]
+    for _, (delta, _, _) in others:
+        total *= delta
+    _, bnd, block = element
+    c = total // element[0]
+    block[:] = [c * x for x in block]
+    element[0] = total
+    for i in front.difference(bnd):
+        bnd.insert(0, i)
+        block[:0] = [0] * len(bnd)
+        owner[i].add(key)
+    n = len(bnd)
+    pos = {v: a for a, v in enumerate(bnd)}
+    for other, (delta, obnd, oblock) in others:
+        c = total // delta
+        for x, (a, b) in zip(oblock, cwr(map(pos.__getitem__, obnd), 2)):
+            if a > b:
+                a, b = b, a
+            block[a * (2 * n - a - 1) // 2 + b] += c * x
+        for i in obnd:
+            if i != p:
+                ov = owner[i]
+                ov.discard(other)
+                ov.add(key)
+
+
+def _dense_tail(rows: dict, diagonal: dict, elements: dict, scale: int) -> TreeCount:
+    """P det L over the live rows and the r elements that border them.
+
+    With D the product of their deltas, the block G / P^r over the live
+    rows, G = D P L + sum (D / delta) B, and the sentinel D / P^(r - 1) are
+    the entries and the pivot a fraction-free elimination would hold after
+    eliminating those elements' vertices: P times minors of L. So
+    _dense_bareiss takes them as they are.
+    """
+    order = list(rows)
+    m = len(order)
+    pos = {v: a for a, v in enumerate(order)}
+    total = 1
+    for delta, _, _ in elements.values():
+        total *= delta
+    block = []
+    for a, v in enumerate(order):
+        row = [0] * m
+        row[a] = total * diagonal[v]
+        for u, x in rows[v].items():
+            b = pos[u]
+            if b > a:
+                row[b] = total * x
+        block.append(row)
+    for delta, bnd, eblock in elements.values():
+        c = total // delta
+        for x, (a, b) in zip(eblock, cwr(map(pos.__getitem__, bnd), 2)):
+            if a > b:
+                a, b = b, a
+            block[a][b] += c * x
+    lift = scale ** len(elements)
+    if lift != 1:
+        block = [[x // lift for x in row] for row in block]
+    return _dense_bareiss(block, total * scale // lift)
 
 
 def _dense_bareiss(block: list[list[int]], prev: int) -> TreeCount:

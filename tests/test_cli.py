@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -49,6 +50,22 @@ def test_python_m_treeforge(argv, code, out):
     )
     assert (proc.returncode, proc.stdout) == (code, out)
     assert (proc.stderr == "") == (code == 0)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only scan --jobs > 1 needs multiprocessing, so no other command
+    # pays for loading it
+    src = str(Path(treeforge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, treeforge.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_count_k4(tmp_path, capsys):
@@ -193,6 +210,15 @@ def test_count_long_parse_error_is_one_short_line(tmp_path, capsys, text):
     assert err.count("\n") == 1 and err.endswith("characters)\n") and len(err) < 150
 
 
+def test_count_long_label_is_cut(tmp_path, capsys):
+    # a label of 4,000 digits parses, and its message keeps 60 of them
+    f = tmp_path / "long.txt"
+    f.write_text("p 3\n0 " + "1" * 4000 + "\n")
+    code, out, err = run(capsys, "count", str(f))
+    assert code == 2 and out == ""
+    assert err == f"parse error: line 2: edge (0,{'1' * 60}... (4000 characters)) out of range for 3 vertices\n"
+
+
 def test_construct_30(capsys):
     code, out, _ = run(capsys, "construct", "30", "--json")
     doc = json.loads(out)
@@ -277,7 +303,8 @@ class RecordingPool:
 
 
 def test_scan_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # scan imports the pool class when it needs one, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, seq, _ = run(capsys, "scan", "3", "20", "--json")

@@ -130,11 +130,33 @@ def test_edge_list_error_contract(text, line, message):
         ("p 3\n0 " + "1" * 5000 + "\n", 2, "non-integer field in '0 " + "1" * 58 + "'... (5002 characters)"),
         ("p " + "1" * 5000 + "\n0 1\n", 1, "bad vertex count '" + "1" * 60 + "'... (5000 characters)"),
         ("p " + "\u0663" * 61 + "\n", 1, "bad vertex count '" + "\u0663" * 60 + "'... (61 characters)"),
+        # numbers that parse are cut the same way, without quotes
+        (
+            "p 3\n0 " + "1" * 4000 + "\n",
+            2,
+            "edge (0," + "1" * 60 + "... (4000 characters)) out of range for 3 vertices",
+        ),
+        ("p 3\n0 1 -" + "1" * 4000 + "\n", 2, "multiplicity -" + "1" * 59 + "... (4001 characters) must be >= 1"),
+        (
+            "p " + "2" * 4000 + "\n-1 0\n",
+            2,
+            "edge (-1,0) out of range for " + "2" * 60 + "... (4000 characters) vertices",
+        ),
     ],
-    ids=["60 characters", "61 characters", "long edge line", "long header field", "non-ASCII field"],
+    ids=[
+        "60 characters",
+        "61 characters",
+        "long edge line",
+        "long header field",
+        "non-ASCII field",
+        "long label",
+        "long multiplicity",
+        "long header count",
+    ],
 )
 def test_long_quotes_are_cut(text, line, message):
-    # a quoted line or field keeps its first 60 characters and gives its length
+    # a quoted line or field, or a number, keeps its first 60 characters
+    # and gives its length
     for read in (parse_edge_list, load_graph):
         with pytest.raises(ParseError) as exc:
             read(text)

@@ -129,39 +129,92 @@ class TestTauMatrix:
     def test_dense_tail_closed_forms(self, monkeypatch):
         blocks = spy_dense_tail(monkeypatch)
         floor = tree_count.DENSE_TAIL_MIN
-        # lambda * K_n is one complete block from the first pivot on
+        # the core of lambda * K_n has n - 1 rows and least degree n - 1,
+        # so it goes to the dense elimination at once
         for lam in (1, 2, 3):
             for n in range(2, 12):
                 blocks.clear()
                 g = Multigraph.from_edges(n, [(u, v, lam) for u, v in combinations(range(n), 2)])
                 assert tau_matrix(g) == lam ** (n - 1) * n ** (n - 2)
                 assert blocks == ([n - 1] if n - 1 >= floor else [])
-        # K_{m,n} fills in to a complete block once its smaller side is
-        # gone; with a side of at most two vertices the other side's
-        # vertices have at most two neighbours, so the graph collapses
-        # before any elimination
+        # with a side of at most two vertices the other side's vertices
+        # have at most two neighbours, so K_{m,n} collapses before any
+        # elimination. Otherwise its m + n - 1 rows go dense at once if
+        # they are at most twice the least degree; if not, the side of
+        # shorter rows is eliminated, one element per vertex, until one of
+        # its vertices is left with the other side minus the root: a
+        # complete block of m rows when m <= n (vertex 0, the root, is on
+        # the m side), else of n + 1
         for m in range(1, 10):
             for n in range(1, 10):
                 blocks.clear()
                 g = Multigraph.from_edges(m + n, [(u, m + v) for u in range(m) for v in range(n)])
                 assert tau_matrix(g) == m ** (n - 1) * n ** (m - 1)
-                assert len(blocks) <= 1
-                assert blocks or min(m, n) < floor
+                if min(m, n) < 3:
+                    expected = []
+                elif floor <= m + n - 1 <= 2 * min(m, n):
+                    expected = [m + n - 1]
+                else:
+                    last = m if m <= n else n + 1
+                    expected = [last] if last >= floor else []
+                assert blocks == expected
 
     def test_two_disjoint_k5_leave_a_singular_dense_block(self, monkeypatch):
-        # the K_5 holding vertex 0 goes first; the other is left as a
-        # complete block of five rows whose last pivot is 0
+        # nine rows are more than twice the least degree, 4, so the
+        # elimination starts; the K_5 holding vertex 0 goes first and its
+        # element closes, and the other is left as a complete block of
+        # five rows whose last pivot is 0
         blocks = spy_dense_tail(monkeypatch)
         k5 = list(combinations(range(5), 2))
         g = Multigraph.from_edges(10, k5 + [(u + 5, v + 5) for u, v in k5])
         assert tau_matrix(g) == 0
         assert blocks == [5]
 
+    def test_cliques_sharing_the_root(self, rng, monkeypatch):
+        # vertex 0, the root, is a cut vertex: each clique's element closes
+        # with an empty boundary, and the count is the product of their
+        # deltas over P^(closed - 1), P = 3 where one edge is a path of
+        # three that Kron-reduces to the pair (1, 3). The floor of 10^9
+        # keeps every core out of the dense route.
+        def clique(size, mults, chain):
+            pairs = [(u, v, rng.choice((1, 2, 3)) if mults else 1) for u, v in combinations(range(size), 2)]
+            if chain:  # the last pair becomes a path of three edges
+                u, v, _ = pairs.pop()
+                pairs += [(u, size, 1), (size, size + 1, 1), (size + 1, v, 1)]
+            return Multigraph.from_edges(size + 2 * chain, pairs)
+
+        def glued(parts):
+            edges, first = [], 1
+            for part in parts:
+                label = [0, *range(first, first + part.vertex_count - 1)]
+                edges += [(label[u], label[v], m) for u, v, m in part.edges]
+                first += part.vertex_count - 1
+            return Multigraph.from_edges(first, edges)
+
+        dense = spy_dense_tail(monkeypatch)
+        for sizes in ((4, 4), (5, 5, 5)):
+            for mults in (False, True):
+                for chain in (False, True):
+                    parts = [clique(s, mults, chain and i == 0) for i, s in enumerate(sizes)]
+                    g = glued(parts)
+                    expected = 1
+                    for part in parts:
+                        expected *= brute_tau(part)
+                    if sizes == (4, 4) and not mults and not chain:
+                        assert expected == 256 == brute_tau(g)
+                    assert tau_dc(g) == expected
+                    for floor in (tree_count.DENSE_TAIL_MIN, 10**9):
+                        monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
+                        dense.clear()
+                        assert tau_matrix(g) == expected
+                        assert tau_matrix(shuffled(g, rng)) == expected
+                        assert bool(dense) == (floor < 10**9)
+
     def test_random_multigraphs_match_bruteforce(self, rng, monkeypatch):
         # disconnected graphs and multiplicities up to 3 reach the zero
-        # diagonals of both pivot choices; a floor of 1 sends every complete
-        # block an elimination reaches, singular ones included, through the
-        # dense tail
+        # deltas and the zero dense pivots; a floor of 1 sends every core of
+        # at most twice its least degree rows, and every complete block an
+        # elimination reaches, singular ones included, to the dense route
         graphs = [random_multigraph(rng) for _ in range(2000)]
         expected = [brute_tau(g) for g in graphs]
         assert sum(t == 0 for t in expected) > 500
@@ -206,6 +259,25 @@ class TestTauMatrix:
             assert [tau_matrix(g) % P61 for g in large] == expected
             assert [tau_matrix(g) for g in cliques] == [0, 0]
             assert bool(blocks) == (floor < 10**9)
+
+    def test_large_grid_and_random_graph_match_determinant_mod_p(self, rng, monkeypatch):
+        # minimum degree splits these into many elements, which merge when
+        # a pivot borders several; with a floor of 10^9 the elimination
+        # runs to its last pivot without the dense tail
+        k = 500
+        pairs = {(rng.randrange(v), v) for v in range(1, k)}
+        while len(pairs) < 2 * k:
+            u, v = sorted(rng.sample(range(k), 2))
+            pairs.add((u, v))
+        graphs = [shuffled(grid_graph(24, 24), rng), shuffled(Multigraph.from_edges(k, sorted(pairs)), rng)]
+        expected = [det_mod_p(g, P61) for g in graphs]
+        assert all(expected)
+        blocks = spy_dense_tail(monkeypatch)
+        for floor in (tree_count.DENSE_TAIL_MIN, 10**9):
+            monkeypatch.setattr(tree_count, "DENSE_TAIL_MIN", floor)
+            blocks.clear()
+            assert [tau_matrix(g) % P61 for g in graphs] == expected
+            assert len(blocks) == (2 if floor < 10**9 else 0)
 
     def test_large_sparse_subdivision(self):
         # a long subdivided theta: near-linear elimination must stay exact
